@@ -118,22 +118,6 @@ func TestDaemonBootQueryShutdown(t *testing.T) {
 	}
 }
 
-// The -index-off baseline must boot and serve as well.
-func TestDaemonIndexOffFlag(t *testing.T) {
-	base, _, shutdown := bootDaemon(t, "-index-off")
-	resp, err := http.Get(base + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", resp.StatusCode)
-	}
-	if err := shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
 // -pprof mounts the profiling endpoints without stealing any API route;
 // without the flag /debug/pprof/ must not exist.
 func TestDaemonPprofFlag(t *testing.T) {

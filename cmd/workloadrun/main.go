@@ -3,9 +3,9 @@
 // GraphCache, reporting per-query sub/super/exact hits and hit percentage,
 // then compares which cached graphs each replacement policy evicts.
 //
-// With -throughput it instead drives a mixed workload through the batched
-// worker-pool API (Cache.ExecuteAll), reporting queries/sec of the sharded
-// engine against the serialized single-lock baseline at each worker count.
+// With -throughput it instead drives a mixed workload through a worker
+// pool, reporting queries/sec of the sharded engine against the
+// serialized single-lock baseline at each worker count.
 // Adding -assert-index also runs the indexed-vs-unindexed hit-detection
 // comparison and exits non-zero unless the feature index strictly reduced
 // hit-detection work (the `make bench-smoke` CI gate).
@@ -175,20 +175,17 @@ func runThroughput(stdout io.Writer, seed int64, tier bench.ThroughputTier, work
 	fmt.Fprintf(stdout, "Parallel throughput [%s tier] — %d mixed queries over %d molecules (GOMAXPROCS=%d, %d CPUs)\n",
 		cmp.Tier, cmp.Queries, cmp.DatasetSize, env.GOMAXPROCS, env.NumCPU)
 	fmt.Fprintln(stdout, strings.Repeat("=", 64))
-	t := stats.NewTable("", "workers", "serialized q/s", "shared-window q/s", "per-shard q/s", "speedup", "window speedup")
+	t := stats.NewTable("", "workers", "serialized q/s", "per-shard q/s", "speedup")
 	for i, w := range cmp.WorkerCounts {
 		t.AddRow(w,
 			fmt.Sprintf("%.1f", cmp.Serialized[i].QPS),
-			fmt.Sprintf("%.1f", cmp.SharedWindow[i].QPS),
 			fmt.Sprintf("%.1f", cmp.PerShard[i].QPS),
-			fmt.Sprintf("%.2f×", cmp.SpeedupAt(w)),
-			fmt.Sprintf("%.2f×", cmp.WindowSpeedupAt(w)))
+			fmt.Sprintf("%.2f×", cmp.SpeedupAt(w)))
 	}
 	t.Render(stdout)
-	fmt.Fprintln(stdout, "\nserialized    = one global lock per query (pre-sharding engine);")
-	fmt.Fprintln(stdout, "shared-window = lock-striped kernel, one coordinator-guarded admission window;")
-	fmt.Fprintln(stdout, "per-shard     = per-shard admission windows, no global mutex on any query path.")
-	fmt.Fprintln(stdout, "speedup = per-shard/serialized; window speedup = per-shard/shared-window.")
+	fmt.Fprintln(stdout, "\nserialized = one-shard cache, one harness lock held around each query;")
+	fmt.Fprintln(stdout, "per-shard  = per-shard admission windows, no global mutex on any query path.")
+	fmt.Fprintln(stdout, "speedup = per-shard/serialized.")
 	return nil
 }
 

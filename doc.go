@@ -66,18 +66,14 @@
 //	outs := graphcache.QueryAll(cache, reqs, 8)
 //	for so := range graphcache.QueryAllStream(cache, reqs, 8) { ... }
 //
-// Sequential streams are deterministic at any fixed shard count, and
-// answer sets are byte-identical across engines and shard counts.
-// Config.SharedWindow restores the previous engine — one global
-// admission window whose turns stop the world — as a measurable
-// baseline; under it, cache contents are additionally identical to a
-// single-shard cache at any shard count for timing-independent policies
-// (LRU, FIFO, POP, PIN). PINC and the default HD rank eviction victims
-// by measured verification cost, so their cache contents can differ
-// between physical runs — a property of those policies, not of the
-// sharding. Concurrent submission keeps every answer set exact but makes
-// admission order scheduling-dependent. Config.Serialized restores the
-// one-query-at-a-time engine for baselines and reproducibility.
+// Sequential streams are deterministic at any fixed shard count for
+// timing-independent policies (LRU, FIFO, POP, PIN) — answers, hit
+// classifications and cache contents — and answer sets are
+// byte-identical across shard counts. PINC and the default HD rank
+// eviction victims by measured verification cost, so their cache
+// contents can differ between physical runs — a property of those
+// policies, not of the sharding. Concurrent submission keeps every
+// answer set exact but makes admission order scheduling-dependent.
 //
 // # Live dataset mutations
 //

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphcache/internal/core"
@@ -20,12 +23,10 @@ type ThroughputPoint struct {
 	QPS     float64
 }
 
-// ThroughputComparison reports the three engines over the identical mixed
-// workload at each worker count: the serialized single-lock baseline, the
-// lock-striped kernel with the SHARED admission window (every miss
-// funnels into one coordinator-guarded buffer — the PR-2 engine), and the
-// default per-shard-window kernel, where no per-query code path takes a
-// global mutex.
+// ThroughputComparison reports two engines over the identical mixed
+// workload at each worker count: the serialized baseline (one query in
+// the kernel at a time) and the kernel as deployed, with per-shard
+// admission windows and no global mutex on any query path.
 type ThroughputComparison struct {
 	// Tier names the workload tier that was run; DatasetSize and Queries
 	// record its realized scale so the JSON artifact is self-describing.
@@ -33,13 +34,9 @@ type ThroughputComparison struct {
 	DatasetSize  int
 	Queries      int
 	WorkerCounts []int
-	// Serialized drives a Config{Shards: 1, Serialized: true} cache — the
-	// pre-sharding engine that takes one global lock per query.
+	// Serialized drives a Config{Shards: 1} cache with one harness mutex
+	// held around every Execute: one query in the kernel at a time.
 	Serialized []ThroughputPoint
-	// SharedWindow drives the lock-striped engine with
-	// Config.SharedWindow: sharded queries, but one global admission
-	// window whose turns stop the world.
-	SharedWindow []ThroughputPoint
 	// PerShard drives the default engine: per-shard admission windows and
 	// per-shard window turns.
 	PerShard []ThroughputPoint
@@ -57,17 +54,38 @@ func (t *ThroughputComparison) SpeedupAt(workers int) float64 {
 	return 0
 }
 
-// WindowSpeedupAt returns per-shard-window QPS over shared-window QPS at
-// the given worker count — the admission-decentralization payoff in
-// isolation (both engines shard the entries; only the window differs); 0
-// if the count was not run.
-func (t *ThroughputComparison) WindowSpeedupAt(workers int) float64 {
-	for i, w := range t.WorkerCounts {
-		if w == workers && t.SharedWindow[i].QPS > 0 {
-			return t.PerShard[i].QPS / t.SharedWindow[i].QPS
-		}
+// executeAll drives reqs through c from a pool of workers goroutines,
+// each claiming the next request off a shared counter (one worker runs
+// the batch in submission order). A non-nil serial mutex is held around
+// every Execute: that is the serialized baseline, taken outside every
+// kernel lock. Each worker stops at its first failing query; the
+// failures come back joined.
+func executeAll(c *core.Cache, reqs []core.Request, workers int, serial *sync.Mutex) error {
+	workers = max(workers, 1)
+	var next atomic.Int64
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(reqs); i = int(next.Add(1) - 1) {
+				if serial != nil {
+					serial.Lock()
+				}
+				_, err := c.Execute(reqs[i].Graph, reqs[i].Type)
+				if serial != nil {
+					serial.Unlock()
+				}
+				if err != nil {
+					errs[w] = fmt.Errorf("query %d: %w", i, err)
+					return
+				}
+			}
+		}()
 	}
-	return 0
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Environment records the runtime context a benchmark ran under, so a
@@ -171,13 +189,13 @@ func ParallelThroughput(seed int64, datasetSize, queries int, workerCounts []int
 }
 
 // ParallelThroughputTier measures end-to-end queries/sec of the
-// per-shard-window engine against the shared-window and serialized
-// baselines on one workload tier. One dataset, one GGSX index and one
-// mixed subgraph/supergraph workload are generated up front and shared
-// by every run (the filter index is immutable and concurrency-safe);
-// each (engine, workers) cell gets a fresh cache so no run warms
-// another. The workload is submitted through Cache.ExecuteAll with the
-// cell's worker count.
+// per-shard-window engine against the serialized baseline on one
+// workload tier. One dataset, one GGSX index and one mixed
+// subgraph/supergraph workload are generated up front and shared by
+// every run (the filter index is immutable and concurrency-safe); each
+// (engine, workers) cell gets a fresh cache so no run warms another. The
+// workload is submitted through the harness worker pool (executeAll)
+// with the cell's worker count.
 func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int) (*ThroughputComparison, error) {
 	if len(workerCounts) == 0 {
 		workerCounts = DefaultThroughputWorkers()
@@ -205,19 +223,20 @@ func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int)
 		Queries:      tier.Queries,
 		WorkerCounts: workerCounts,
 	}
-	runOnce := func(cfg core.Config, workers int) (ThroughputPoint, error) {
+	runOnce := func(cfg core.Config, serialized bool, workers int) (ThroughputPoint, error) {
 		c, err := core.New(method, cfg)
 		if err != nil {
 			return ThroughputPoint{}, err
 		}
-		t0 := time.Now()
-		outs := c.ExecuteAll(reqs, workers)
-		elapsed := time.Since(t0)
-		for i, o := range outs {
-			if o.Err != nil {
-				return ThroughputPoint{}, fmt.Errorf("query %d: %w", i, o.Err)
-			}
+		var serial *sync.Mutex
+		if serialized {
+			serial = new(sync.Mutex)
 		}
+		t0 := time.Now()
+		if err := executeAll(c, reqs, workers, serial); err != nil {
+			return ThroughputPoint{}, err
+		}
+		elapsed := time.Since(t0)
 		return ThroughputPoint{
 			Workers: workers,
 			Queries: len(reqs),
@@ -228,29 +247,27 @@ func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int)
 
 	serialCfg := core.DefaultConfig()
 	serialCfg.Shards = 1
-	serialCfg.Serialized = true
-	sharedCfg := core.DefaultConfig()
-	sharedCfg.SharedWindow = true
 	perShardCfg := core.DefaultConfig()
 
 	for _, workers := range workerCounts {
-		// The three engines are measured in interleaved, rotating rounds
-		// — a fresh cache per run so no run warms another — and each cell
+		// The two engines are measured in interleaved, rotating rounds —
+		// a fresh cache per run so no run warms another — and each cell
 		// reports its best round, after one unmeasured warmup pass per
 		// engine. Background load drifts on timescales longer than one
 		// round and the first pass pays one-time costs (page faults, heap
-		// growth), so rotation plus warmup exposes every engine to the
+		// growth), so rotation plus warmup exposes both engines to the
 		// same conditions instead of letting the measurement order decide
 		// comparisons that are within a few percent.
-		var serial, shared, perShard ThroughputPoint
+		var serial, perShard ThroughputPoint
 		cells := []struct {
-			cfg  core.Config
-			best *ThroughputPoint
-		}{{serialCfg, &serial}, {sharedCfg, &shared}, {perShardCfg, &perShard}}
+			cfg        core.Config
+			serialized bool
+			best       *ThroughputPoint
+		}{{serialCfg, true, &serial}, {perShardCfg, false, &perShard}}
 		for r := -1; r < tier.Rounds; r++ {
 			for i := range cells {
 				cell := cells[(i+r+len(cells))%len(cells)]
-				p, err := runOnce(cell.cfg, workers)
+				p, err := runOnce(cell.cfg, cell.serialized, workers)
 				if err != nil {
 					return nil, err
 				}
@@ -260,7 +277,6 @@ func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int)
 			}
 		}
 		cmp.Serialized = append(cmp.Serialized, serial)
-		cmp.SharedWindow = append(cmp.SharedWindow, shared)
 		cmp.PerShard = append(cmp.PerShard, perShard)
 	}
 	return cmp, nil

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"graphcache/internal/core"
@@ -10,29 +12,57 @@ import (
 )
 
 // TestParallelThroughputRuns pins the experiment's shape: every requested
-// worker count is measured for all three engines over the same workload,
-// and every query completes.
+// worker count is measured for both engines over the same workload, and
+// every query completes.
 func TestParallelThroughputRuns(t *testing.T) {
 	cmp, err := ParallelThroughput(7, 40, 60, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmp.Serialized) != 2 || len(cmp.SharedWindow) != 2 || len(cmp.PerShard) != 2 {
-		t.Fatalf("points: %d serialized, %d shared-window, %d per-shard, want 2 each",
-			len(cmp.Serialized), len(cmp.SharedWindow), len(cmp.PerShard))
+	if len(cmp.Serialized) != 2 || len(cmp.PerShard) != 2 {
+		t.Fatalf("points: %d serialized, %d per-shard, want 2 each",
+			len(cmp.Serialized), len(cmp.PerShard))
 	}
 	for i, w := range cmp.WorkerCounts {
-		for _, p := range []ThroughputPoint{cmp.Serialized[i], cmp.SharedWindow[i], cmp.PerShard[i]} {
+		for _, p := range []ThroughputPoint{cmp.Serialized[i], cmp.PerShard[i]} {
 			if p.Workers != w || p.Queries != 60 || p.QPS <= 0 {
 				t.Errorf("bad point %+v for workers=%d", p, w)
 			}
 		}
 	}
-	if cmp.SpeedupAt(4) <= 0 || cmp.WindowSpeedupAt(4) <= 0 {
-		t.Error("speedups not computed")
+	if cmp.SpeedupAt(4) <= 0 {
+		t.Error("speedup not computed")
 	}
-	if cmp.SpeedupAt(99) != 0 || cmp.WindowSpeedupAt(99) != 0 {
+	if cmp.SpeedupAt(99) != 0 {
 		t.Error("unknown worker count should report 0")
+	}
+}
+
+// The harness pool must run every request exactly once, with or without
+// the serializing mutex, and surface a failing query by its index.
+func TestExecuteAllHarness(t *testing.T) {
+	dataset := MoleculeDataset(3, 30)
+	method := ftv.NewGGSXMethod(dataset, 3)
+	reqs := make([]core.Request, 24)
+	for i := range reqs {
+		reqs[i] = core.Request{Graph: dataset[i], Type: ftv.Subgraph}
+	}
+	for _, serial := range []*sync.Mutex{nil, new(sync.Mutex)} {
+		cfg := core.DefaultConfig()
+		cfg.Shards = 1
+		c := core.MustNew(method, cfg)
+		if err := executeAll(c, reqs, 4, serial); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().Queries; got != int64(len(reqs)) {
+			t.Errorf("serialized=%v: executed %d queries, want %d", serial != nil, got, len(reqs))
+		}
+	}
+	bad := append([]core.Request{}, reqs[:3]...)
+	bad[1].Graph = nil
+	err := executeAll(core.MustNew(method, core.DefaultConfig()), bad, 2, new(sync.Mutex))
+	if err == nil || !strings.Contains(err.Error(), "query 1") {
+		t.Errorf("nil-graph query not reported by index: %v", err)
 	}
 }
 
@@ -52,8 +82,8 @@ func TestShardedScalesPastSerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	speedup := cmp.SpeedupAt(8)
-	t.Logf("8 workers: serialized %.1f q/s, shared-window %.1f q/s, per-shard %.1f q/s, speedup %.2f× (GOMAXPROCS=%d, race=%v)",
-		cmp.Serialized[0].QPS, cmp.SharedWindow[0].QPS, cmp.PerShard[0].QPS, speedup, runtime.GOMAXPROCS(0), raceEnabled)
+	t.Logf("8 workers: serialized %.1f q/s, per-shard %.1f q/s, speedup %.2f× (GOMAXPROCS=%d, race=%v)",
+		cmp.Serialized[0].QPS, cmp.PerShard[0].QPS, speedup, runtime.GOMAXPROCS(0), raceEnabled)
 	if raceEnabled {
 		t.Skip("race detector distorts scheduling; not asserting the 2× scaling gate")
 	}
@@ -125,7 +155,9 @@ func TestParallelThroughputTierStampsIdentity(t *testing.T) {
 	}
 }
 
-// benchThroughput drives one engine configuration for b.N batches.
+// benchThroughput drives one engine configuration for b.N batches
+// through the harness worker pool; serialized selects the Shards: 1
+// cache behind one harness mutex.
 func benchThroughput(b *testing.B, serialized bool, workers int) {
 	dataset := MoleculeDataset(2018, 100)
 	method := ftv.NewGGSXMethod(dataset, 3)
@@ -144,19 +176,18 @@ func benchThroughput(b *testing.B, serialized bool, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := core.DefaultConfig()
+		var serial *sync.Mutex
 		if serialized {
 			cfg.Shards = 1
-			cfg.Serialized = true
+			serial = new(sync.Mutex)
 		}
 		c, err := core.New(method, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		for j, o := range c.ExecuteAll(reqs, workers) {
-			if o.Err != nil {
-				b.Fatalf("query %d: %v", j, o.Err)
-			}
+		if err := executeAll(c, reqs, workers, serial); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(reqs)), "queries/op")

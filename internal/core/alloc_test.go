@@ -57,7 +57,7 @@ func TestExactHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted under the race detector")
 	}
-	bs := newBenchStreams(t, 120, 1, nil)
+	bs := newBenchStreams(t, 120, 1)
 	got := testing.AllocsPerRun(100, func() {
 		res, err := bs.cache.Execute(bs.exact, ftv.Subgraph)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestExactHitAllocBudget(t *testing.T) {
 }
 
 func TestIndexedMissAllocBudget(t *testing.T) {
-	bs := newBenchStreams(t, 120, 512, nil)
+	bs := newBenchStreams(t, 120, 512)
 	got := measureExecuteAllocs(t, bs.cache, bs.misses, 200)
 	t.Logf("indexed miss: %.1f allocs/op (budget %d)", got, allocBudgetMiss)
 	if got > allocBudgetMiss {
@@ -83,7 +83,7 @@ func TestIndexedMissAllocBudget(t *testing.T) {
 }
 
 func TestSubSuperHitAllocBudget(t *testing.T) {
-	bs := newBenchStreams(t, 120, 512, nil)
+	bs := newBenchStreams(t, 120, 512)
 	got := measureExecuteAllocs(t, bs.cache, bs.subhits, 200)
 	t.Logf("sub/super hit: %.1f allocs/op (budget %d)", got, allocBudgetSubSuperHit)
 	if got > allocBudgetSubSuperHit {

@@ -36,7 +36,7 @@ type benchStreams struct {
 	subhits []*graph.Graph
 }
 
-func newBenchStreams(tb testing.TB, datasetSize, streamLen int, mutate func(*Config)) *benchStreams {
+func newBenchStreams(tb testing.TB, datasetSize, streamLen int) *benchStreams {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(97))
 	dataset := gen.Molecules(rng, datasetSize, gen.DefaultMoleculeConfig())
@@ -44,12 +44,6 @@ func newBenchStreams(tb testing.TB, datasetSize, streamLen int, mutate func(*Con
 	cfg := DefaultConfig()
 	cfg.Capacity = 256
 	cfg.Window = 16
-	if mutate != nil {
-		cfg = DefaultConfig()
-		cfg.Capacity = 256
-		cfg.Window = 16
-		mutate(&cfg)
-	}
 	c, err := New(method, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -97,7 +91,7 @@ func newBenchStreams(tb testing.TB, datasetSize, streamLen int, mutate func(*Con
 }
 
 func BenchmarkExecuteExactHit(b *testing.B) {
-	bs := newBenchStreams(b, 200, 1, nil)
+	bs := newBenchStreams(b, 200, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,8 +105,32 @@ func BenchmarkExecuteExactHit(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteExactHitParallel runs the exact-hit stream from
+// GOMAXPROCS goroutines at once: every query takes the dataset lock's
+// read side, the owning shard's read lock and policyMu for the hit
+// credit, so this prices what those shared locks cost under concurrent
+// readers. Compare runs with -cpu 1,2,....
+func BenchmarkExecuteExactHitParallel(b *testing.B) {
+	bs := newBenchStreams(b, 200, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			res, err := bs.cache.Execute(bs.exact, ftv.Subgraph)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if !res.ExactHit {
+				b.Error("expected an exact hit")
+				return
+			}
+		}
+	})
+}
+
 func BenchmarkExecuteIndexedMiss(b *testing.B) {
-	bs := newBenchStreams(b, 200, 2048, nil)
+	bs := newBenchStreams(b, 200, 2048)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -123,28 +141,11 @@ func BenchmarkExecuteIndexedMiss(b *testing.B) {
 }
 
 func BenchmarkExecuteSubSuperHit(b *testing.B) {
-	bs := newBenchStreams(b, 200, 2048, nil)
+	bs := newBenchStreams(b, 200, 2048)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bs.cache.Execute(bs.subhits[i%len(bs.subhits)], ftv.Subgraph); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExecuteMissSerialized is the pre-sharding engine on the miss
-// stream — the baseline that shows what the lock-striped kernel and the
-// allocation discipline buy on one thread.
-func BenchmarkExecuteMissSerialized(b *testing.B) {
-	bs := newBenchStreams(b, 200, 2048, func(cfg *Config) {
-		cfg.Shards = 1
-		cfg.Serialized = true
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bs.cache.Execute(bs.misses[i%len(bs.misses)], ftv.Subgraph); err != nil {
 			b.Fatal(err)
 		}
 	}

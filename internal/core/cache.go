@@ -31,11 +31,10 @@ import (
 // shard's admitted entries and pending window. Entry IDs come from an
 // atomic counter (claimed under the owning shard's lock, so each shard's
 // ID order stays monotonic), and the verification-cost EMAs are lock-free
-// CAS cells. The two cross-shard serialization points that remain are
+// CAS cells. The one cross-shard serialization point that remains is
 // policyMu — the replacement policy and the per-entry utility fields it
 // mutates are one shared structure, so hit crediting (counter arithmetic,
-// only on queries that actually hit) and window turns take it — and the
-// Serialized escape hatch.
+// only on queries that actually hit) and window turns take it.
 //
 // Window turns are per-shard: a full shard window turns under policyMu
 // plus that single shard's write lock, aging and evicting only the
@@ -44,31 +43,22 @@ import (
 // copy-on-write slice of the feature index — hit detection reads the
 // union of the per-shard slices, so no other shard blocks or rebuilds
 // (see index.go for the publication rules). The lock hierarchy is
-// dsMu → windowMu → policyMu → shard locks; reverse nestings never
-// occur. dsMu is the dataset RWMutex: queries hold its read side for
-// their whole run (pinning one dataset snapshot; queries never serialize
-// against each other on it), live dataset mutations
-// (AddGraph/RemoveGraph, see mutate.go) hold the write side while they
-// patch cached answer sets. Operational counters (Monitor) are atomics
-// and bypass locks entirely.
-//
-// Config.SharedWindow restores the previous admission engine as the
-// measurable baseline (like Serialized and IndexOff): one global window
-// guarded by windowMu, turned under policyMu plus every shard write lock
-// with global capacity accounting.
+// dsMu → policyMu → shard locks; reverse nestings never occur. dsMu is
+// the dataset RWMutex: queries hold its read side for their whole run
+// (pinning one dataset snapshot; queries never serialize against each
+// other on it), live dataset mutations (AddGraph/RemoveGraph, see
+// mutate.go) hold the write side while they patch cached answer sets.
+// Operational counters (Monitor) are atomics and bypass locks entirely.
 //
 // # Determinism
 //
 // A graph's fingerprint pins it to one shard, so for a sequential query
-// stream the per-shard admission order — and hence every answer set — is
-// deterministic at any fixed shard count. Per-shard and shared-window
-// engines stage and turn at different moments, so they may classify
-// sub/super hits differently and age different cache contents, but both
-// always return byte-identical, exact answer sets
-// (equivalence_test.go). With SharedWindow set, entries gathered across
-// shards are globally ID-ordered, so cache contents are additionally
-// identical to a single-shard cache at any shard count; at Shards: 1 the
-// two window engines coincide exactly. Those guarantees are exact for
+// stream the per-shard admission order — and hence every hit
+// classification, cache content and counter — is deterministic at any
+// fixed shard count. Different shard counts stage and turn at different
+// moments, so they may classify sub/super hits differently and age
+// different cache contents, but every shard count returns byte-identical,
+// exact answer sets (equivalence_test.go). Those guarantees are exact for
 // timing-independent policies (LRU, FIFO, POP, PIN); PINC and the default
 // HD rank victims by measured verification nanoseconds, so their eviction
 // choices can vary between physical runs — any two runs, independent of
@@ -81,7 +71,7 @@ import (
 // analyzers (internal/lint), which fail the build on reverse nestings,
 // unmet lock preconditions, and writes to published COW state.
 //
-//gclint:hierarchy serialMu dsMu windowMu policyMu shard
+//gclint:hierarchy dsMu policyMu shard
 type Cache struct {
 	method *ftv.Method
 	cfg    Config
@@ -93,45 +83,27 @@ type Cache struct {
 	// stay close to the configured W regardless of the shard count.
 	shardWindow int
 
-	// serialMu is taken for the whole of Execute when cfg.Serialized is
-	// set — the pre-sharding engine's behavior, kept as the measurable
-	// baseline for the parallel-throughput benchmarks and as the reference
-	// configuration for equivalence tests.
-	//gclint:lock serialMu
-	serialMu sync.Mutex
-
 	// dsMu orders queries against live dataset mutations: Execute (and the
 	// state save/restore paths) hold the read side for their whole
 	// duration, so every query runs against ONE dataset snapshot and its
 	// answer is exact for that snapshot; AddGraph/RemoveGraph take the
 	// write side, which both drains all in-flight queries before the
 	// mutation patches cached state and guarantees no query observes a
-	// half-maintained cache. Queries never serialize against each other on
-	// it — dsLock stripes the reader count across padded per-slot
-	// counters, so the read fast path touches no shared cache line (see
-	// dslock.go). The outermost rung of the lock hierarchy:
-	// dsMu → windowMu → policyMu → shard locks.
+	// half-maintained cache. The outermost rung of the lock hierarchy:
+	// dsMu → policyMu → shard locks.
 	//gclint:lock dsMu
-	dsMu dsLock
-
-	// windowMu guards the shared admission window — only used with
-	// Config.SharedWindow; the per-shard engine stages in shard.window
-	// under the shard lock instead.
-	//gclint:lock windowMu
-	windowMu sync.Mutex
-	window   []*Entry
+	dsMu sync.RWMutex
 
 	// policyMu guards the replacement policy and the mutable per-entry
 	// utility fields it reads and writes (Hits, LastUsed, SavedTests,
 	// SavedCostNs): hit crediting, utility aging, and eviction accounting.
-	// Never held across iso tests or dataset scans. Hierarchy: windowMu →
+	// Never held across iso tests or dataset scans. Hierarchy: dsMu →
 	// policyMu → shard locks.
 	//gclint:lock policyMu
 	policyMu sync.Mutex
 
-	// nextID assigns entry IDs. Claimed under the owning shard's lock
-	// (per-shard windows) or windowMu (shared window), so each window's
-	// staging order is ascending in ID.
+	// nextID assigns entry IDs. Claimed under the owning shard's lock, so
+	// each shard window's staging order is ascending in ID.
 	nextID atomic.Int64
 
 	// tick is the global query sequence number (atomic: assigned at query
@@ -217,9 +189,8 @@ func (c *Cache) PolicyName() string { return c.policy.Name() }
 // Shards returns the number of lock shards the cache was built with.
 func (c *Cache) Shards() int { return len(c.shards) }
 
-// newID claims the next entry ID. Callers hold the owning shard's lock
-// (per-shard windows) or windowMu (shared window), which keeps each
-// window's staging order ascending in ID.
+// newID claims the next entry ID. Callers hold the owning shard's lock,
+// which keeps each shard window's staging order ascending in ID.
 func (c *Cache) newID() int {
 	return int(c.nextID.Add(1) - 1)
 }
@@ -234,13 +205,8 @@ func (c *Cache) Len() int {
 // WindowLen returns the number of entries pending admission across all
 // admission windows.
 //
-//gclint:acquires windowMu shard
+//gclint:acquires shard
 func (c *Cache) WindowLen() int {
-	if c.cfg.SharedWindow {
-		c.windowMu.Lock()
-		defer c.windowMu.Unlock()
-		return len(c.window)
-	}
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.RLock()
@@ -277,9 +243,8 @@ func (c *Cache) Stats() Snapshot {
 // ShardStat is one shard's occupancy snapshot: resident entries, pending
 // admissions in the shard's window, per-shard window turns and resident
 // bytes. Bytes covers the shard's static entry footprints only — answer
-// bytes are pooled cache-wide (Snapshot.AnswerBytes). Turns stays 0 in
-// shared-window mode, where turns are global and counted only by the
-// Monitor's aggregate WindowTurns.
+// bytes are pooled cache-wide (Snapshot.AnswerBytes). The shards' Turns
+// sum to the Monitor's aggregate WindowTurns.
 type ShardStat struct {
 	Entries   int
 	WindowLen int
@@ -333,22 +298,18 @@ func (c *Cache) Entries() []*Entry {
 // to call from any number of goroutines; see the Cache doc comment for
 // what runs in parallel and what serializes.
 //
-//gclint:acquires serialMu dsMu windowMu policyMu shard
+//gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
 func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: nil query graph")
 	}
-	if c.cfg.Serialized {
-		c.serialMu.Lock()
-		defer c.serialMu.Unlock()
-	}
 	// The read side of the dataset mutex pins one dataset snapshot for the
 	// whole query: filtering, hit reconciliation, verification, self-check
 	// and admission all see the same epoch. Queries share the read side
 	// freely; only AddGraph/RemoveGraph take the write side.
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
+	c.dsMu.RLock()
+	defer c.dsMu.RUnlock()
 	view := c.method.View()
 
 	tick := c.tick.Add(1)
@@ -761,17 +722,12 @@ func (c *Cache) recordCosts(costs []costSample) {
 	}
 }
 
-// admit stages the executed query for admission — in the owning shard's
-// window by default, or in the single shared window with
-// Config.SharedWindow — and turns the window when full (the Window
-// Manager). The default path touches only the owning shard's lock.
+// admit stages the executed query in the owning shard's window and turns
+// that window when full (the Window Manager). Staging touches only the
+// owning shard's lock.
 //
-//gclint:acquires windowMu policyMu shard
+//gclint:acquires policyMu shard
 func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
-	if c.cfg.SharedWindow {
-		c.admitShared(q, qt, answers, baseCandidates, sig, tick, epoch)
-		return
-	}
 	sh := c.shardFor(sig.fp)
 	sh.mu.Lock()
 	e := entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick, epoch)
@@ -780,21 +736,6 @@ func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, bas
 	sh.mu.Unlock()
 	if full {
 		c.turnShard(sh)
-	}
-}
-
-// admitShared is the SharedWindow staging path: one global buffer under
-// windowMu, turned whole under every shard lock — the measurable
-// pre-decentralization baseline.
-//
-//gclint:acquires windowMu policyMu shard
-func (c *Cache) admitShared(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
-	e := entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick, epoch)
-	c.window = append(c.window, e)
-	if len(c.window) >= c.cfg.Window {
-		c.turnWindowShared()
 	}
 }
 
@@ -870,64 +811,6 @@ func (c *Cache) turnShard(sh *shard) {
 	c.compactAdditions(sh)
 }
 
-// turnWindowShared is the SharedWindow turn: age, evict and admit the
-// global window atomically under every shard write lock. Caller holds
-// windowMu; policyMu is taken for the policy callbacks and utility
-// mutations (hierarchy: windowMu → policyMu → shard locks).
-//
-//gclint:requires windowMu
-//gclint:acquires policyMu shard
-func (c *Cache) turnWindowShared() {
-	c.mon.windowTurns.Add(1)
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
-	c.policy.OnWindowTurn()
-	c.lockAll()
-	defer c.unlockAll()
-
-	all := c.gatherLocked()
-	for _, e := range all {
-		e.age(c.cfg.DecayFactor)
-		c.rechargeLocked(c.shardFor(e.Fingerprint), e)
-	}
-	if excess := len(all) + len(c.window) - c.cfg.Capacity; excess > 0 {
-		all = c.evictLocked(all, excess)
-	}
-	for _, e := range c.window {
-		c.shardFor(e.Fingerprint).insertLocked(e)
-		all = append(all, e) // window IDs exceed all admitted IDs: stays sorted
-		c.mon.admissions.Add(1)
-	}
-	c.window = c.window[:0]
-
-	// A window larger than the whole capacity can still overflow.
-	if excess := len(all) - c.cfg.Capacity; excess > 0 {
-		all = c.evictLocked(all, excess)
-	}
-	for c.cfg.MemoryBudget > 0 && c.memBytesLocked()+int(c.pool.bytes.Load()) > c.cfg.MemoryBudget && len(all) > 1 {
-		all = c.evictLocked(all, 1)
-	}
-
-	// Republish the feature index before the shard locks drop, so queries
-	// never observe an index ahead of or behind the admitted entries.
-	c.republishAllLocked()
-
-	// Shared-window turns hold the full hierarchy, so the compaction floor
-	// sees every entry directly.
-	c.compactAdditionsLocked()
-}
-
-// memBytesLocked sums shard byte accounts. Caller holds all shard locks.
-//
-//gclint:requires shard
-func (c *Cache) memBytesLocked() int {
-	b := 0
-	for _, sh := range c.shards {
-		b += sh.memBytes
-	}
-	return b
-}
-
 // chooseVictims returns x distinct, in-range positions into the
 // ID-ordered slice all, as selected by the policy. The policy's returned
 // positions are sanitized defensively against buggy custom policies
@@ -1001,12 +884,11 @@ func (c *Cache) rankingView() []*Entry {
 // score policies whose utilities are per-entry (LRU, FIFO, POP, PIN,
 // PINC) this equals ranking the shard alone; for HD — whose score
 // normalizes against the min/max utilities of the slice it is shown —
-// it keeps victim choice consistent with what the shared-window engine
-// would pick among these entries. The view can be stale with respect to
-// the current turn (entries it already evicted, newcomers it admitted —
-// republish happens once at the end), so selection admits only entries
-// still resident in sh; with IndexOff (nil view) the ranking falls back
-// to the shard's own entries.
+// it keeps victim choice consistent with a ranking of the whole cache.
+// The view can be stale with respect to the current turn (entries it
+// already evicted, newcomers it admitted — republish happens once at the
+// end), so selection admits only entries still resident in sh; with
+// IndexOff (nil view) the ranking falls back to the shard's own entries.
 //
 //gclint:requires policyMu shard
 func (c *Cache) evictShardLocked(sh *shard, x int, view []*Entry) {
@@ -1079,7 +961,7 @@ func (c *Cache) evictShardLocked(sh *shard, x int, view []*Entry) {
 // evictLocked removes x entries chosen by the policy from the ID-ordered
 // slice all (the canonical cross-shard view) and from their owning shards,
 // returning the surviving slice. Caller holds policyMu and all shard
-// write locks (the SharedWindow turn and state restores).
+// write locks (state restores).
 //
 //gclint:requires policyMu shard
 func (c *Cache) evictLocked(all []*Entry, x int) []*Entry {

@@ -10,12 +10,12 @@ import (
 // DefaultConfig.
 type Config struct {
 	// Capacity is the maximum number of cached queries (the demo uses 50).
-	// With per-shard admission windows (the default), a turning shard
-	// evicts only its own residents, so the resident count can transiently
-	// overshoot Capacity when admissions land in shards with little to
-	// evict — by fewer than Shards×⌈Window/Shards⌉ entries, paid down as
-	// the loaded shards turn. SharedWindow (and Shards: 1) enforce the
-	// bound exactly at every turn.
+	// Each shard owns an admission window of ⌈Window/Shards⌉ entries, and
+	// a turning shard evicts only its own residents, so the resident count
+	// can transiently overshoot Capacity when admissions land in shards
+	// with little to evict — by fewer than Shards×⌈Window/Shards⌉ entries,
+	// paid down as the loaded shards turn. Shards: 1 enforces the bound
+	// exactly at every turn.
 	Capacity int
 	// Window is the admission-window size W: executed queries are buffered
 	// and admitted in batches of Window (the demo workload size is 10).
@@ -41,30 +41,9 @@ type Config struct {
 	// Shards is the number of lock shards admitted entries are partitioned
 	// across by graph fingerprint. 0 selects DefaultShards; 1 yields a
 	// single-shard cache. Sequential query streams produce identical
-	// answer sets at any shard count, and are fully deterministic at any
-	// fixed shard count; with SharedWindow set, cache contents too are
-	// shard-count-independent.
+	// answer sets at any shard count, and are fully deterministic (hit
+	// classifications, cache contents, counters) at any fixed shard count.
 	Shards int
-	// Serialized, when set, takes one global exclusive lock for the whole
-	// of each Execute call — the pre-sharding engine's behavior. It is the
-	// measurable baseline for the parallel-throughput benchmarks and the
-	// reference configuration for the sharded-equivalence tests.
-	Serialized bool
-	// SharedWindow, when set, restores the shared admission engine: one
-	// global admission window behind a coordinator mutex, turned
-	// stop-the-world under every shard lock. By default each shard owns
-	// its own admission window of ceil(Window/Shards) entries, turned
-	// under only that shard's lock (plus the policy mutex); Capacity and
-	// MemoryBudget stay global (tracked in an atomic resident account),
-	// but a turning shard evicts only its own residents — so no per-query
-	// path takes any global mutex. The two engines stage, turn and rank
-	// eviction victims at different moments and scopes, so they can cache
-	// different entries, but sequential streams return byte-identical
-	// answer sets either way (and at Shards: 1 the engines coincide
-	// exactly). The shared engine is the measurable baseline for the
-	// window-decentralization comparison, alongside Serialized and
-	// IndexOff.
-	SharedWindow bool
 	// IndexOff disables the global cache-entry feature index: hit
 	// detection falls back to scanning an ID-ordered snapshot of every
 	// shard with size/label/path-dominance pre-filtering only — the

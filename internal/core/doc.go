@@ -187,10 +187,10 @@
 // example (the example lines are indented so they read as code, not as
 // live directives):
 //
-//	//gclint:hierarchy serialMu dsMu windowMu policyMu shard  (on Cache: the lock order)
+//	//gclint:hierarchy dsMu policyMu shard  (on Cache: the lock order)
 //	//gclint:lock policyMu     (on a field: this is lock "policyMu" in the hierarchy)
 //	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it)
-//	//gclint:acquires windowMu shard   (func acquires and releases these internally)
+//	//gclint:acquires policyMu shard   (func acquires and releases these internally)
 //	//gclint:requires policyMu shard   (func must be called with these held)
 //	//gclint:holds shard       (func acquires these and LEAVES them held — lockAll)
 //	//gclint:releases shard    (func releases caller-held locks — unlockAll)

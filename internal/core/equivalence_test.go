@@ -9,196 +9,125 @@ import (
 	"graphcache/internal/gen"
 )
 
+// equivalenceWorkload is the mixed, chain-heavy stream the equivalence
+// tests share: small enough to run a full matrix, skewed enough to
+// exercise exact, sub and super hits, window turns and evictions.
+func equivalenceWorkload(t *testing.T) *gen.Workload {
+	t.Helper()
+	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), testDataset(51, 40), gen.WorkloadConfig{
+		Size: 150, Mixed: true, PoolSize: 30,
+		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// equivalenceCache builds a small cache (plenty of window turns and
+// evictions) over a fresh GGSX method on the shared dataset.
+func equivalenceCache(t *testing.T, policy string, shards int, indexOff bool) *Cache {
+	t.Helper()
+	p, err := NewPolicy(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Capacity = 20
+	cfg.Window = 5
+	cfg.Policy = p
+	cfg.Shards = shards
+	cfg.IndexOff = indexOff
+	return MustNew(ftv.NewGGSXMethod(testDataset(51, 40), 3), cfg)
+}
+
 // The sharding equivalence property: driven sequentially over the same
-// workload with the SHARED admission window, a sharded cache must be
-// indistinguishable from the serialized single-shard engine —
-// byte-identical answer sets, identical hit/miss classifications,
-// identical admission/eviction decisions — regardless of the shard count.
-// This is what licenses the lock-striping refactor: the shards are an
-// implementation detail of the kernel, never visible in its semantics.
-// (The default per-shard windows deliberately relax the cache-contents
-// part of this contract; TestPerShardWindowEquivalence pins what they
-// preserve.)
+// workload, a sharded cache must return answer sets byte-identical to a
+// single-shard cache's — the serialized baseline, which runs one query at
+// a time through Shards: 1 and so computes exactly what a sequential
+// Shards: 1 stream does. Per-shard windows stage and turn at different
+// moments at different shard counts, so hit classifications and cache
+// contents legitimately differ, but a graph's fingerprint pins it to one
+// shard and hits only ever shrink verification work, never change
+// answers. This is what licenses the lock striping: the shards are an
+// implementation detail of the kernel, never visible in its answers.
 //
 // Policies here are restricted to timing-independent ones (PIN, LRU,
 // FIFO, POP): PINC/HD rank victims by measured verification nanoseconds,
 // which legitimately differ between two physical runs even of the very
 // same engine.
 func TestShardedEquivalentToSerialized(t *testing.T) {
-	for _, policy := range []string{"pin", "lru", "fifo", "pop"} {
+	w := equivalenceWorkload(t)
+	run := func(policy string, indexOff bool) {
+		ref := equivalenceCache(t, policy, 1, indexOff)
+		want := make([]string, len(w.Queries))
+		for i, q := range w.Queries {
+			res, err := ref.Execute(q.G, q.Type)
+			if err != nil {
+				t.Fatalf("reference query %d: %v", i, err)
+			}
+			want[i] = res.Answers.String()
+		}
+		if s := ref.Stats(); s.Evictions == 0 || s.ExactHits == 0 || s.SubHits+s.SuperHits == 0 {
+			t.Fatalf("workload too tame for %s: %+v", policy, s)
+		}
 		for _, shards := range []int{2, 8, 32} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
-				checkShardedEquivalence(t, policy, shards, false)
+			name := fmt.Sprintf("%s/shards=%d", policy, shards)
+			if indexOff {
+				name += "/indexOff"
+			}
+			t.Run(name, func(t *testing.T) {
+				sharded := equivalenceCache(t, policy, shards, indexOff)
+				for i, q := range w.Queries {
+					res, err := sharded.Execute(q.G, q.Type)
+					if err != nil {
+						t.Fatalf("sharded query %d: %v", i, err)
+					}
+					if got := res.Answers.String(); got != want[i] {
+						t.Fatalf("query %d: %d shards answer %s, 1 shard %s", i, shards, got, want[i])
+					}
+				}
 			})
 		}
 	}
+	for _, policy := range []string{"pin", "lru", "fifo", "pop"} {
+		run(policy, false)
+	}
 	// The IndexOff baseline scan must be just as shard-count-independent.
-	for _, shards := range []int{2, 8, 32} {
-		t.Run(fmt.Sprintf("pin/shards=%d/indexOff", shards), func(t *testing.T) {
-			checkShardedEquivalence(t, "pin", shards, true)
-		})
-	}
-}
-
-func checkShardedEquivalence(t *testing.T, policy string, shards int, indexOff bool) {
-	t.Helper()
-	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-		Size: 150, Mixed: true, PoolSize: 30,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	build := func(shardCount int, serialized bool) *Cache {
-		p, err := NewPolicy(policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		method := ftv.NewGGSXMethod(dataset, 3)
-		cfg := DefaultConfig()
-		cfg.Capacity = 20 // small: plenty of window turns and evictions
-		cfg.Window = 5
-		cfg.Policy = p
-		cfg.Shards = shardCount
-		cfg.Serialized = serialized
-		cfg.IndexOff = indexOff
-		cfg.SharedWindow = true // the engine this contract is about
-		return MustNew(method, cfg)
-	}
-	serial := build(1, true)
-	sharded := build(shards, false)
-
-	for i, q := range w.Queries {
-		rs, err := serial.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("serial query %d: %v", i, err)
-		}
-		rp, err := sharded.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("sharded query %d: %v", i, err)
-		}
-		// Byte-identical results…
-		if !rs.Answers.Equal(rp.Answers) {
-			t.Fatalf("query %d: answer sets diverge", i)
-		}
-		if !rs.Sure.Equal(rp.Sure) || !rs.Excluded.Equal(rp.Excluded) || !rs.Survivors.Equal(rp.Survivors) {
-			t.Fatalf("query %d: S/S'/R sets diverge", i)
-		}
-		// …and identical hit/miss classification.
-		if rs.ExactHit != rp.ExactHit {
-			t.Fatalf("query %d: exact-hit classification diverges (%v vs %v)", i, rs.ExactHit, rp.ExactHit)
-		}
-		if rs.Tests != rp.Tests || rs.BaseCandidates != rp.BaseCandidates {
-			t.Fatalf("query %d: tests %d/%d vs %d/%d", i, rs.Tests, rs.BaseCandidates, rp.Tests, rp.BaseCandidates)
-		}
-		if len(rs.Hits) != len(rp.Hits) {
-			t.Fatalf("query %d: hit counts diverge (%d vs %d)", i, len(rs.Hits), len(rp.Hits))
-		}
-		for j := range rs.Hits {
-			if rs.Hits[j] != rp.Hits[j] {
-				t.Fatalf("query %d hit %d: %+v vs %+v", i, j, rs.Hits[j], rp.Hits[j])
-			}
-		}
-	}
-
-	// Final cache contents must match entry for entry.
-	es, ep := serial.Entries(), sharded.Entries()
-	if len(es) != len(ep) {
-		t.Fatalf("resident entries diverge: %d vs %d", len(es), len(ep))
-	}
-	for i := range es {
-		if es[i].ID != ep[i].ID {
-			t.Fatalf("entry %d: ID %d vs %d", i, es[i].ID, ep[i].ID)
-		}
-		if !es[i].Answers().Equal(ep[i].Answers()) {
-			t.Fatalf("entry %d: answer sets diverge", i)
-		}
-		if es[i].Hits != ep[i].Hits || es[i].SavedTests != ep[i].SavedTests {
-			t.Fatalf("entry %d: utilities diverge", i)
-		}
-	}
-	if serial.Len() != sharded.Len() || serial.Bytes() != sharded.Bytes() || serial.WindowLen() != sharded.WindowLen() {
-		t.Fatal("resident accounting diverges")
-	}
-
-	// Every count in the monitor must agree (times are physical, exempt).
-	ss, sp := serial.Stats(), sharded.Stats()
-	ss.FilterTime, ss.HitTime, ss.VerifyTime = 0, 0, 0
-	sp.FilterTime, sp.HitTime, sp.VerifyTime = 0, 0, 0
-	if ss != sp {
-		t.Fatalf("monitor counters diverge:\nserial  %+v\nsharded %+v", ss, sp)
-	}
-	if ss.Evictions == 0 || ss.WindowTurns == 0 {
-		t.Error("workload too tame: no evictions/window turns exercised")
-	}
-	if ss.ExactHits == 0 || ss.SubHits+ss.SuperHits == 0 {
-		t.Error("workload too tame: no hits exercised")
-	}
+	run("pin", true)
 }
 
 // The index equivalence property: with the feature index on, every answer
-// set must be byte-identical to the IndexOff baseline's at every shard
+// set must be byte-identical to the IndexOff baseline's at the same shard
 // count — the index may only ever discard provable non-hits, so the two
-// engines can classify hits differently within the VF2 attempt budget
-// (and hence age different cache contents), but both always return the
-// exact answer set. The index must also do strictly LESS hit-detection
-// work: fewer dominance merges, no more q↔h iso tests, and a non-zero
-// index-pruned count.
+// can classify hits differently within the VF2 attempt budget (and hence
+// age different cache contents), but both always return the exact answer
+// set. The index must also do strictly LESS hit-detection work: fewer
+// dominance merges, no more q↔h iso tests, and a non-zero index-pruned
+// count. Comparing at the same shard count keeps the per-shard admission
+// schedule identical on both sides, so the work accounting compares like
+// with like.
 func TestIndexedEquivalentToUnindexed(t *testing.T) {
-	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-		Size: 150, Mixed: true, PoolSize: 30,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	method := ftv.NewGGSXMethod(dataset, 3)
-	build := func(shards int, indexOff bool) *Cache {
-		p, err := NewPolicy("pin") // timing-independent: runs are reproducible
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Capacity = 20
-		cfg.Window = 5
-		cfg.Policy = p
-		cfg.Shards = shards
-		cfg.IndexOff = indexOff
-		// Shared window: cache contents are then identical at every shard
-		// count, so the indexed-vs-unindexed work accounting compares the
-		// same admitted sets (per-shard windows cache different entries at
-		// different shard counts, which would confound the comparison).
-		cfg.SharedWindow = true
-		return MustNew(method, cfg)
-	}
-
-	baseline := build(1, true)
-	var baseAnswers []string
-	for i, q := range w.Queries {
-		res, err := baseline.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("baseline query %d: %v", i, err)
-		}
-		baseAnswers = append(baseAnswers, res.Answers.String())
-	}
-	bs := baseline.Stats()
-
+	w := equivalenceWorkload(t)
 	for _, shards := range []int{1, 2, 8, 32} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			indexed := build(shards, false)
+			// PIN is timing-independent: runs are reproducible.
+			baseline := equivalenceCache(t, "pin", shards, true)
+			indexed := equivalenceCache(t, "pin", shards, false)
 			for i, q := range w.Queries {
-				res, err := indexed.Execute(q.G, q.Type)
+				rb, err := baseline.Execute(q.G, q.Type)
+				if err != nil {
+					t.Fatalf("baseline query %d: %v", i, err)
+				}
+				ri, err := indexed.Execute(q.G, q.Type)
 				if err != nil {
 					t.Fatalf("indexed query %d: %v", i, err)
 				}
-				if got := res.Answers.String(); got != baseAnswers[i] {
-					t.Fatalf("query %d: indexed answers %s, baseline %s", i, got, baseAnswers[i])
+				if got, want := ri.Answers.String(), rb.Answers.String(); got != want {
+					t.Fatalf("query %d: indexed answers %s, baseline %s", i, got, want)
 				}
 			}
-			is := indexed.Stats()
+			bs, is := baseline.Stats(), indexed.Stats()
 			if is.HitIndexPruned == 0 {
 				t.Error("index pruned nothing: summaries never fired")
 			}
@@ -214,92 +143,40 @@ func TestIndexedEquivalentToUnindexed(t *testing.T) {
 	}
 }
 
-// The per-shard window equivalence property: the default decentralized
-// admission engine must return answer sets byte-identical to the shared-
-// window engine's for sequential streams at every shard count — the two
-// engines stage and turn at different moments (so hit classifications and
-// cache contents legitimately differ), but a graph's fingerprint pins it
-// to one shard, making per-shard admission deterministic, and hits only
-// ever shrink verification work, never change answers. At Shards: 1 the
-// two engines coincide exactly: one shard's window IS the shared window,
-// so the full strict contract (contents, counters) must hold there too.
+// The per-shard window accounting property: however many shards split
+// the admission window, the per-shard Window Managers must add up to one
+// window of size W. Every turn is a per-shard turn (the shards' Turns sum
+// to the aggregate WindowTurns), and the resident count honors
+// Config.Capacity — exactly at one shard, and within the documented
+// transient overshoot of fewer than Shards×⌈Window/Shards⌉ entries at any
+// other count.
 func TestPerShardWindowEquivalence(t *testing.T) {
-	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-		Size: 150, Mixed: true, PoolSize: 30,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	method := ftv.NewGGSXMethod(dataset, 3)
-	build := func(shards int, sharedWindow bool) *Cache {
-		p, err := NewPolicy("pin") // timing-independent: runs are reproducible
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Capacity = 20
-		cfg.Window = 5
-		cfg.Policy = p
-		cfg.Shards = shards
-		cfg.SharedWindow = sharedWindow
-		return MustNew(method, cfg)
-	}
-
-	baseline := build(1, true)
-	var baseAnswers []string
-	for i, q := range w.Queries {
-		res, err := baseline.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("baseline query %d: %v", i, err)
-		}
-		baseAnswers = append(baseAnswers, res.Answers.String())
-	}
-
+	w := equivalenceWorkload(t)
 	for _, shards := range []int{1, 2, 8, 32} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			perShard := build(shards, false)
+			c := equivalenceCache(t, "pin", shards, false)
+			slack := 0
+			if shards > 1 {
+				slack = shards*c.shardWindow - 1
+			}
 			for i, q := range w.Queries {
-				res, err := perShard.Execute(q.G, q.Type)
-				if err != nil {
-					t.Fatalf("per-shard query %d: %v", i, err)
+				if _, err := c.Execute(q.G, q.Type); err != nil {
+					t.Fatalf("query %d: %v", i, err)
 				}
-				if got := res.Answers.String(); got != baseAnswers[i] {
-					t.Fatalf("query %d: per-shard answers %s, shared-window %s", i, got, baseAnswers[i])
+				if c.Len() > c.cfg.Capacity+slack {
+					t.Fatalf("query %d: %d resident entries, capacity %d + slack %d",
+						i, c.Len(), c.cfg.Capacity, slack)
 				}
 			}
 			turns := int64(0)
-			for _, st := range perShard.ShardStats() {
+			for _, st := range c.ShardStats() {
 				turns += st.Turns
 			}
 			if turns == 0 {
 				t.Error("no per-shard window turns fired: workload too tame")
 			}
-			if got := perShard.Stats().WindowTurns; got != turns {
+			if got := c.Stats().WindowTurns; got != turns {
 				t.Errorf("aggregate WindowTurns %d != sum of per-shard turns %d", got, turns)
-			}
-			if shards == 1 {
-				// One shard's window IS the shared window: the engines must
-				// coincide entry for entry, counter for counter.
-				eb, ep := baseline.Entries(), perShard.Entries()
-				if len(eb) != len(ep) {
-					t.Fatalf("resident entries diverge at 1 shard: %d vs %d", len(eb), len(ep))
-				}
-				for i := range eb {
-					if eb[i].ID != ep[i].ID || !eb[i].Answers().Equal(ep[i].Answers()) {
-						t.Fatalf("entry %d diverges at 1 shard", i)
-					}
-					if eb[i].Hits != ep[i].Hits || eb[i].SavedTests != ep[i].SavedTests {
-						t.Fatalf("entry %d: utilities diverge at 1 shard", i)
-					}
-				}
-				sb, sp := baseline.Stats(), perShard.Stats()
-				sb.FilterTime, sb.HitTime, sb.VerifyTime = 0, 0, 0
-				sp.FilterTime, sp.HitTime, sp.VerifyTime = 0, 0, 0
-				if sb != sp {
-					t.Fatalf("monitor counters diverge at 1 shard:\nshared    %+v\nper-shard %+v", sb, sp)
-				}
 			}
 		})
 	}

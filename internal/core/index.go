@@ -16,11 +16,11 @@ import (
 //
 // Writers never mutate a published slice. Each shard's slice is replaced
 // whole — under policyMu plus that shard's write lock — whenever the
-// shard's admitted set changes: a per-shard window turn, a SharedWindow
-// turn, a state restore. The turning shard republishes only ITS slice
-// (O(shard), not O(cache)); the global index a reader sees is simply the
-// union of the per-shard slices, so the republish is visible the moment
-// the single atomic store lands, and no other shard blocks or rebuilds.
+// shard's admitted set changes: a per-shard window turn or a state
+// restore. The turning shard republishes only ITS slice (O(shard), not
+// O(cache)); the global index a reader sees is simply the union of the
+// per-shard slices, so the republish is visible the moment the single
+// atomic store lands, and no other shard blocks or rebuilds.
 //
 // Readers load each shard's pointer once per query and work on those
 // point-in-time arrays; an entry evicted after the load stays sound to
@@ -29,11 +29,10 @@ import (
 // order, which changes NOTHING downstream: every consumer is a function
 // of the candidate SET — benefit ranking orders candidates by (answer
 // count, entry ID) and eviction ranking is the policy's own sort — so
-// detection stays deterministic at any fixed shard count, and identical
-// to the serialized single-shard engine's under SharedWindow (where the
-// admitted sets coincide). For a sequential stream the union always
-// exactly mirrors the admitted entries: admitted sets change only inside
-// policyMu, and every mutation republishes before its locks drop.
+// detection stays deterministic at any fixed shard count. For a
+// sequential stream the union always exactly mirrors the admitted
+// entries: admitted sets change only inside policyMu, and every mutation
+// republishes before its locks drop.
 type indexEntry struct {
 	typ      ftv.QueryType
 	featBits uint64
@@ -76,7 +75,7 @@ func (c *Cache) republishShardLocked(sh *shard) {
 }
 
 // republishAllLocked refreshes every shard's summary slice — the
-// stop-the-world republish used by SharedWindow turns and state restores.
+// stop-the-world republish used by state restores.
 // Caller holds policyMu and every shard write lock.
 //
 //gclint:requires policyMu shard

@@ -49,7 +49,7 @@ import (
 // It returns the new graph's id. The method must support AddGraph
 // (ftv.NewDynamicMethod or a bundled constructor).
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu policyMu shard
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	c.dsMu.Lock()
 	defer c.dsMu.Unlock()
@@ -96,7 +96,7 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 // path (no iso tests; a pointer swap per affected entry). The id is never
 // reused, so all other answer-set positions stay valid as-is.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu policyMu shard
 func (c *Cache) RemoveGraph(gid int) error {
 	c.dsMu.Lock()
 	defer c.dsMu.Unlock()
@@ -150,10 +150,8 @@ func (c *Cache) RemoveGraph(gid int) error {
 // epochs) and the addition log is compacted up to the minimum entry
 // epoch.
 //
-//gclint:acquires windowMu policyMu shard
+//gclint:acquires policyMu shard
 func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 	c.lockAll()
@@ -166,9 +164,6 @@ func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
 			for _, e := range sh.window {
 				fn(nil, e)
 			}
-		}
-		for _, e := range c.window {
-			fn(nil, e)
 		}
 	}
 	for _, sh := range c.shards {
@@ -188,8 +183,8 @@ func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
 // can only be conservative by the time the compaction lands.
 
 // compactAdditionsLocked compacts with the full hierarchy held (the
-// stop-the-world passes: dataset mutations, shared-window turns, state
-// restores), reading every window directly.
+// stop-the-world passes: dataset mutations and state restores), reading
+// every window directly.
 //
 //gclint:requires policyMu shard
 func (c *Cache) compactAdditionsLocked() {
@@ -209,9 +204,6 @@ func (c *Cache) compactAdditionsLocked() {
 		for _, e := range sh.window {
 			lower(e)
 		}
-	}
-	for _, e := range c.window {
-		lower(e)
 	}
 	c.compactTo(floor)
 }
@@ -253,8 +245,6 @@ func (c *Cache) compactAdditions(turning *shard) {
 			floor = f
 		}
 	}
-	// The shared window is unused in per-shard mode (per-shard turns only
-	// happen there), so c.window needs no scan.
 	c.compactTo(floor)
 }
 

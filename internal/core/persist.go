@@ -65,8 +65,8 @@ const stateVersionV2 = 2
 //gclint:pins dataset
 //gclint:deterministic
 func (c *Cache) WriteStateV2(w io.Writer) error {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
+	c.dsMu.RLock()
+	defer c.dsMu.RUnlock()
 	view := c.method.View()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
@@ -137,14 +137,14 @@ func (c *Cache) ReadState(r io.Reader) error {
 
 // readStateV2 parses and restores the v2 text format.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
 func (c *Cache) readStateV2(br *bufio.Reader) error {
 	// The read side of the dataset mutex pins the dataset for the whole
 	// restore (mutations are excluded; concurrent queries are not — they
 	// are fenced by the lock hierarchy below, exactly like before).
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
+	c.dsMu.RLock()
+	defer c.dsMu.RUnlock()
 	view := c.method.View()
 	lineNo := 1
 	header, err := br.ReadString('\n')
@@ -333,17 +333,14 @@ parse:
 }
 
 // replaceEntries installs entries as the cache's entire content — the
-// shared commit phase of every restore. Stop-the-world: the full
-// hierarchy windowMu → policyMu → every shard write lock, so no query
-// observes a half-replaced cache and both window engines' pending buffers
-// are cleared. Caller holds the read side of dsMu (the entries' answer
-// sets must stay exact for the pinned dataset snapshot through the
-// install).
+// shared commit phase of every restore. Stop-the-world: policyMu plus
+// every shard write lock, so no query observes a half-replaced cache and
+// every shard's pending window is cleared. Caller holds the read side of
+// dsMu (the entries' answer sets must stay exact for the pinned dataset
+// snapshot through the install).
 //
-//gclint:acquires windowMu policyMu shard
+//gclint:acquires policyMu shard
 func (c *Cache) replaceEntries(entries []*Entry) {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 	c.lockAll()
@@ -362,7 +359,6 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 	// The intern pool's references died with the cleared entries; empty it
 	// so the restored entries re-intern from scratch (insertLocked below).
 	c.pool.reset()
-	c.window = c.window[:0]
 	tick := c.tick.Load()
 	for _, e := range entries {
 		e.ID = c.newID()

@@ -248,8 +248,8 @@ func (e *Entry) faultAnswers(st *answerState) *answerState {
 //gclint:pins dataset
 //gclint:deterministic
 func (c *Cache) WriteState(w io.Writer) error {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
+	c.dsMu.RLock()
+	defer c.dsMu.RUnlock()
 	view := c.method.View()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
@@ -351,11 +351,11 @@ func readFullAt(r io.ReaderAt, p []byte, off int64, what string) error {
 // nothing is installed until the whole snapshot — in lazy mode: header,
 // index and every graph blob — verified.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
 func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
+	c.dsMu.RLock()
+	defer c.dsMu.RUnlock()
 	view := c.method.View()
 
 	hdr := make([]byte, v3HeaderLen)

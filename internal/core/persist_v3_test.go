@@ -52,7 +52,7 @@ func v3State(t *testing.T, c *Cache) []byte {
 
 // The binary format must restore the exact state the text format does:
 // same entries, same answers, byte for byte — at every shard geometry.
-// Both restored caches are re-serialized through the deterministic v2
+// Both restored caches are serialized again through the deterministic v2
 // writer and compared as bytes, which pins answers, utility counters and
 // admission order all at once.
 func TestV2V3Equivalence(t *testing.T) {

@@ -44,17 +44,13 @@ func (p *scorePolicy) UpdateCacheStaInfo(ev *HitEvent) {
 
 func (p *scorePolicy) OnWindowTurn() {}
 
-// ReplacedContent returns the x lowest-scoring entry positions.
+// ReplacedContent returns the x lowest-scoring entry positions, lowest
+// first — also when x covers every entry: the per-shard eviction walk
+// (evictShardLocked) reads the returned prefix in rank order.
 //
 //gclint:deterministic
 func (p *scorePolicy) ReplacedContent(entries []*Entry, x int) []int {
-	if x >= len(entries) {
-		out := make([]int, len(entries))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
+	x = min(x, len(entries))
 	ctx := &scoreContext{
 		minTests: inf(), maxTests: -inf(),
 		minCost: inf(), maxCost: -inf(),

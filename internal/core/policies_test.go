@@ -36,6 +36,23 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	}
 }
 
+// Asking for every entry must still return them least useful first: the
+// per-shard eviction walk reads the prefix in rank order, and an
+// identity-ordered answer made it evict lowest-ID entries instead.
+func TestReplacedContentRanksWholeSlice(t *testing.T) {
+	entries := []*Entry{
+		mkEntry(0, 1, 10, 0, 0, 0),
+		mkEntry(1, 2, 5, 0, 0, 0),
+		mkEntry(2, 3, 20, 0, 0, 0),
+	}
+	for _, x := range []int{3, 5} {
+		got := idsAt(entries, NewLRU().ReplacedContent(entries, x))
+		if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 2 {
+			t.Errorf("LRU ReplacedContent(x=%d) = %v, want [1 0 2]", x, got)
+		}
+	}
+}
+
 func TestFIFOEvictsOldest(t *testing.T) {
 	entries := []*Entry{
 		mkEntry(0, 5, 100, 0, 0, 0),

@@ -41,13 +41,11 @@ func (c *Cache) signatureOf(q *graph.Graph) querySig {
 // admitted entries and its pending window (isomorphic graphs share a
 // fingerprint, so a match can live nowhere else), and only long enough to
 // copy the colliding candidates; the confirming iso tests run lock-free
-// over immutable entry fields. With Config.SharedWindow the pending
-// entries live in the global window instead, copied under windowMu. Two
-// identical queries racing each other may therefore both miss and both be
-// staged — benign: exact-match scans return the first isomorphic entry
-// either way.
+// over immutable entry fields. Two identical queries racing each other may
+// therefore both miss and both be staged — benign: exact-match scans
+// return the first isomorphic entry either way.
 //
-//gclint:acquires windowMu shard
+//gclint:acquires shard
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
 	sh := c.shardFor(fp)
 	sh.mu.RLock()
@@ -55,27 +53,14 @@ func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint
 	if byFP := sh.byFP[fp]; len(byFP) > 0 {
 		cands = append(cands, byFP...)
 	}
-	if !c.cfg.SharedWindow {
-		for _, e := range sh.window {
-			if e.Fingerprint == fp {
-				cands = append(cands, e)
-			}
+	for _, e := range sh.window {
+		if e.Fingerprint == fp {
+			cands = append(cands, e)
 		}
 	}
 	sh.mu.RUnlock()
 	for _, e := range cands {
 		if e.Type == qt && iso.Isomorphic(q, e.Graph) {
-			return e
-		}
-	}
-	if !c.cfg.SharedWindow {
-		return nil
-	}
-	c.windowMu.Lock()
-	pending := append([]*Entry(nil), c.window...)
-	c.windowMu.Unlock()
-	for _, e := range pending {
-		if e.Type == qt && e.Fingerprint == fp && iso.Isomorphic(q, e.Graph) {
 			return e
 		}
 	}

@@ -46,8 +46,7 @@ type residency struct {
 // account tells a turning shard how far over budget the whole cache is,
 // and it evicts from its own residents to pay the excess down — so
 // capacity flows to the shards that actually receive traffic instead of
-// being split into fixed quotas. With Config.SharedWindow the per-shard
-// window sits idle and the Cache-level shared window is used instead.
+// being split into fixed quotas.
 type shard struct {
 	// mu guards entries/byFP/memBytes/window. Innermost rung of the
 	// hierarchy; every shard lock shares the rank, and lockAll's
@@ -67,9 +66,8 @@ type shard struct {
 	// cross-shard acquire/release under any shard lock.
 	pool *internPool
 
-	// window is this shard's pending-admission buffer (per-shard mode
-	// only). Guarded by mu; staged in ascending-ID order because IDs are
-	// claimed under mu.
+	// window is this shard's pending-admission buffer. Guarded by mu;
+	// staged in ascending-ID order because IDs are claimed under mu.
 	window []*Entry
 
 	// turns counts this shard's window turns (atomic: read by ShardStats
@@ -200,9 +198,8 @@ func (sh *shard) containsLocked(e *Entry) bool {
 // is ID-sorted by invariant, so the victim is located with a binary search
 // instead of a linear scan; a non-resident e (already evicted) is a no-op
 // so the byte and residency accounts can never be decremented twice. The
-// byFP list uses swap-delete, mirroring the pre-sharding kernel so
-// fingerprint-collision scan order stays identical to the serialized
-// engine's.
+// byFP list uses swap-delete: collision-list order only decides which of
+// several isomorphic entries an exact hit returns.
 //
 //gclint:requires shard
 //gclint:acquires internMu
@@ -239,9 +236,9 @@ func (sh *shard) removeLocked(e *Entry) {
 }
 
 // lockAll / unlockAll acquire every shard write lock in index order. Only
-// the stop-the-world paths use them — SharedWindow turns and state
-// save/restore; the lock hierarchy is windowMu → policyMu → shard locks,
-// and reverse nestings never occur, so the fixed acquisition order is
+// the stop-the-world paths use them — dataset mutations and state
+// save/restore; the lock hierarchy is dsMu → policyMu → shard locks, and
+// reverse nestings never occur, so the fixed acquisition order is
 // deadlock-free.
 //
 //gclint:holds shard

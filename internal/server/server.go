@@ -146,10 +146,10 @@ type statsResponse struct {
 	CacheBytes        int     `json:"cacheBytes"`
 	Shards            int     `json:"shards"`
 	Policy            string  `json:"policy"`
-	// WindowPending is the total number of entries staged for admission.
+	// WindowPending is the total number of entries staged for admission,
+	// summed from ShardWindows so the two agree under concurrent traffic.
 	// ShardWindows and ShardTurns break occupancy and window turns down
-	// per shard (turns stay zero per shard in shared-window mode, where
-	// only the aggregate windowTurns counts).
+	// per shard; ShardTurns sums to windowTurns.
 	WindowPending int     `json:"windowPending"`
 	ShardWindows  []int   `json:"shardWindows"`
 	ShardTurns    []int64 `json:"shardTurns"`
@@ -196,14 +196,6 @@ func (s *Server) statsResponse() statsResponse {
 		windows[i] = st.WindowLen
 		turns[i] = st.Turns
 		pending += st.WindowLen
-	}
-	if pending == 0 {
-		// Shared-window caches stage outside the shards (their per-shard
-		// windows stay empty); fall back to the cache-level count so the
-		// field is meaningful in both engines. In per-shard mode the sum
-		// above keeps windowPending consistent with shardWindows even
-		// under concurrent traffic.
-		pending = s.cache.WindowLen()
 	}
 	return statsResponse{
 		Queries:           snap.Queries,
