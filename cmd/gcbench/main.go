@@ -213,30 +213,28 @@ func runMemory(stdout io.Writer, seed int64, full bool) error {
 	return nil
 }
 
-// runPersist reports EXP-PERSIST: snapshot save/restore wall time and
-// on-disk bytes of the binary GCS3 format against the v2 text format,
-// eager and lazy. Under -exp all only the default tier runs; -exp
-// persist also measures the large scaling tier.
+// runPersist reports EXP-PERSIST: GCS3 snapshot save and restore wall
+// time, eager and lazy, plus the snapshot's on-disk bytes. Under -exp all
+// only the default tier runs; -exp persist also measures the large
+// scaling tier.
 func runPersist(stdout io.Writer, seed int64, full bool) error {
 	tiers := []bench.ThroughputTier{bench.DefaultTier()}
 	if full {
 		tiers = append(tiers, bench.LargeTier())
 	}
-	t := stats.NewTable("EXP-PERSIST · Snapshot persistence: binary GCS3 (v3) vs text (v2)",
-		"tier", "entries", "v2 bytes", "v3 bytes", "v2 save", "v3 save", "v2 restore", "v3 restore", "v3 lazy", "restore speedup", "lazy speedup")
+	t := stats.NewTable("EXP-PERSIST · Snapshot persistence: GCS3 eager vs lazy restore",
+		"tier", "entries", "bytes", "save", "restore", "lazy restore", "lazy speedup")
 	for _, tier := range tiers {
 		r, err := bench.RunPersist(seed, tier)
 		if err != nil {
 			return err
 		}
-		t.AddRow(r.Tier, r.Entries, stats.FormatBytes(r.V2Bytes), stats.FormatBytes(r.V3Bytes),
-			fmt.Sprintf("%.2fms", r.V2SaveMs), fmt.Sprintf("%.2fms", r.V3SaveMs),
-			fmt.Sprintf("%.2fms", r.V2RestoreMs), fmt.Sprintf("%.2fms", r.V3RestoreMs),
-			fmt.Sprintf("%.2fms", r.V3LazyRestoreMs),
-			fmt.Sprintf("%.2f×", r.RestoreSpeedup), fmt.Sprintf("%.2f×", r.LazySpeedup))
+		t.AddRow(r.Tier, r.Entries, stats.FormatBytes(r.Bytes),
+			fmt.Sprintf("%.2fms", r.SaveMs), fmt.Sprintf("%.2fms", r.RestoreMs),
+			fmt.Sprintf("%.2fms", r.LazyRestoreMs), fmt.Sprintf("%.2f×", r.LazySpeedup))
 	}
 	t.Render(stdout)
-	fmt.Fprintln(stdout, "restore speedup = v2/v3 eager; lazy = RestoreStateLazy to first-query readiness (answer bodies still on disk).")
+	fmt.Fprintln(stdout, "lazy restore = RestoreStateLazy to first-query readiness (answer bodies still on disk); lazy speedup = restore/lazy restore.")
 	return nil
 }
 

@@ -135,9 +135,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// Restore persisted state before accepting traffic. Lazy mode: the
 	// snapshot's index and graphs load now, answer bodies fault in from the
 	// (mmapped) file as queries touch them — so the handle must stay open
-	// for the cache's lifetime. A missing file is a cold start; a corrupt
-	// or mismatched file must never take the daemon down, it just starts
-	// empty.
+	// for the cache's lifetime. A missing file is a cold start. Any other
+	// failure — a corrupt, foreign or retired-format file — must never
+	// take the daemon down: the cache only holds derived state, so gcd
+	// logs why and starts empty. The lazy restore validates everything
+	// but the answer bodies, which an eager restore would check too, so a
+	// file it rejects has nothing left to retry.
 	var stateHandle io.Closer
 	if *statePath != "" {
 		switch closer, err := cache.RestoreStateLazy(*statePath); {
@@ -147,14 +150,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		case os.IsNotExist(err):
 			fmt.Fprintf(stdout, "gcd: no state file at %s, starting cold\n", *statePath)
 		default:
-			// Not a v3 snapshot (or a damaged one). Fall back to an eager
-			// restore, which also reads the legacy v2 text format; if that
-			// fails too, the file is corrupt — start empty, never crash.
-			if v2err := restoreEager(cache, *statePath); v2err == nil {
-				fmt.Fprintf(stdout, "gcd: restored %d cached queries from %s\n", cache.Len(), *statePath)
-			} else {
-				fmt.Fprintf(stdout, "gcd: ignoring state file %s: %v\n", *statePath, err)
-			}
+			fmt.Fprintf(stdout, "gcd: ignoring state file %s: %v\n", *statePath, err)
 		}
 	}
 
@@ -221,17 +217,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "gcd: served %d queries (%d exact hits), bye\n", snap.Queries, snap.ExactHits)
 		return nil
 	}
-}
-
-// restoreEager reads a state file through the format-sniffing eager path
-// (v3 binary or legacy v2 text).
-func restoreEager(c *core.Cache, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.ReadState(f)
 }
 
 // saveState persists the cache atomically: serialize to a temp file in the

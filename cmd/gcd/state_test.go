@@ -148,20 +148,44 @@ func TestDaemonStateSaveEndpoint(t *testing.T) {
 // A corrupt (or foreign) state file must never take the daemon down: it
 // boots with an empty cache and says why.
 func TestDaemonCorruptStateFileIgnored(t *testing.T) {
-	for name, contents := range map[string]string{
-		"junk":        "not a state file at all",
-		"bad-binary":  "GCS3" + strings.Repeat("\x00", 80),
-		"bad-text-v2": "gcstate 2 30 1\nentry 0 extra junk\n",
+	// A valid snapshot saved by a daemon over a 30-graph dataset is foreign
+	// to one over 40 graphs.
+	foreignPath := filepath.Join(t.TempDir(), "foreign.gcs3")
+	base, _, shutdown := bootDaemon(t, "-state", foreignPath)
+	for _, q := range stateQueries {
+		postStateQuery(t, base, q)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	foreign, err := os.ReadFile(foreignPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		contents string
+		args     []string
+		reason   string // expected in the banner's error, if non-empty
+	}{
+		{name: "junk", contents: "not a state file at all"},
+		{name: "bad-binary", contents: "GCS3" + strings.Repeat("\x00", 80)},
+		{name: "bad-text-v2", contents: "gcstate 2 30 1\nentry 0 extra junk\n", reason: "retired v2 text format"},
+		{name: "foreign-dataset", contents: string(foreign), args: []string{"-generate", "40"}, reason: "30-graph dataset"},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			statePath := filepath.Join(t.TempDir(), "cache.gcstate")
-			if err := os.WriteFile(statePath, []byte(contents), 0o644); err != nil {
+			if err := os.WriteFile(statePath, []byte(tc.contents), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			base, out, shutdown := bootDaemon(t, "-state", statePath)
+			base, out, shutdown := bootDaemon(t, append(tc.args, "-state", statePath)...)
 			defer shutdown()
 			if !strings.Contains(out.String(), "ignoring state file") {
 				t.Errorf("no corrupt-state banner:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), tc.reason) {
+				t.Errorf("banner does not say %q:\n%s", tc.reason, out.String())
 			}
 			stats := getStats(t, base)
 			if got := stats["cachedEntries"].(float64); got != 0 {

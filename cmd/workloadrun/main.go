@@ -273,9 +273,8 @@ func runBenchJSON(stdout io.Writer, path string, seed int64, tier bench.Throughp
 		}
 		memory = append(memory, m)
 	}
-	// The persist section tracks snapshot save/restore wall time and bytes
-	// (binary GCS3 vs text v2, eager and lazy restore) on the throughput
-	// tier — the ISSUE-10 acceptance surface (v3 restore < v2).
+	// The persist section tracks GCS3 snapshot save/restore wall time and
+	// bytes (eager and lazy restore) on the throughput tier.
 	persist, err := bench.RunPersist(seed, tier)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -297,11 +296,11 @@ func runBenchJSON(stdout io.Writer, path string, seed int64, tier bench.Throughp
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wrote throughput (%d worker counts), %s-tier scaling (%d graphs / %d queries), churn (%d queries, %d mutations, %.1f%% test reduction), memory (%.1f%% answer-byte reduction on the %s tier) and persist (v3 restore %.2f× faster than v2, lazy %.2f×) results to %s\n",
+	fmt.Fprintf(stdout, "wrote throughput (%d worker counts), %s-tier scaling (%d graphs / %d queries), churn (%d queries, %d mutations, %.1f%% test reduction), memory (%.1f%% answer-byte reduction on the %s tier) and persist (%s snapshot, eager restore %.2fms, lazy %.2f× faster) results to %s\n",
 		len(workers), scaling.Tier, scaling.DatasetSize, scaling.Queries,
 		churn.Queries, churn.Mutations, 100*churn.TestReduction(),
 		100*memory[len(memory)-1].Reduction, memory[len(memory)-1].Tier,
-		persist.RestoreSpeedup, persist.LazySpeedup, path)
+		stats.FormatBytes(persist.Bytes), persist.RestoreMs, persist.LazySpeedup, path)
 	if assertChurn && !churn.MaintainedWins() {
 		return fmt.Errorf("churn assertion failed: maintained %d total tests vs rebuild %d",
 			churn.Maintained.TotalTests(), churn.Rebuild.TotalTests())

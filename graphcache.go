@@ -222,10 +222,10 @@ func QueryAllStream(c *Cache, reqs []Request, workers int) <-chan StreamOutcome 
 // snapshot is only restorable into a cache over the same dataset.
 func SaveState(c *Cache, w io.Writer) error { return c.WriteState(w) }
 
-// LoadState restores a snapshot (either the binary GCS3 format or the
-// legacy v2 text format — the header is sniffed) into the cache,
-// replacing its contents. Restores are all-or-nothing: any corruption is
-// rejected with an error and the cache is left untouched.
+// LoadState restores a GCS3 snapshot written by SaveState into the cache,
+// eagerly, replacing its contents. Restores are all-or-nothing: any
+// corruption — or a file in the retired v2 text format — is rejected
+// with an error and the cache is left untouched.
 func LoadState(c *Cache, r io.Reader) error { return c.ReadState(r) }
 
 // LoadStateLazy restores a GCS3 snapshot file in lazy mode: the entry

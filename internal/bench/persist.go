@@ -13,37 +13,28 @@ import (
 	"graphcache/internal/gen"
 )
 
-// PersistResult is EXP-PERSIST: snapshot save/restore cost of the binary
-// GCS3 format against the v2 text format over the same warmed cache —
-// wall time for save, eager restore and (v3 only) lazy restore, plus the
-// on-disk footprint of each encoding. Ratios are stored, not derived, so
-// the struct serializes whole into the bench-json artifact.
+// PersistResult is EXP-PERSIST: snapshot save/restore cost over one
+// warmed cache — wall time for save, eager restore and lazy restore,
+// plus the snapshot's on-disk footprint. Ratios are stored, not derived,
+// so the struct serializes whole into the bench-json artifact.
 type PersistResult struct {
 	Tier        string
 	DatasetSize int
 	Queries     int
-	// Entries is the resident entry count the snapshots capture.
+	// Entries is the resident entry count the snapshot captures.
 	Entries int
-	// V2Bytes / V3Bytes are the serialized sizes. V3 stays close to v2 on
-	// molecule workloads (both inherit the adaptive containers' compression
-	// — v2 as index lists, v3 as the native binary containers); the v3 win
-	// is restore time, not bytes.
-	V2Bytes int
-	V3Bytes int
+	// Bytes is the serialized snapshot size.
+	Bytes int
 	// Save / eager-restore / lazy-restore wall times, best of three.
-	// V3LazyRestoreMs covers RestoreStateLazy end to end (open + mmap +
+	// LazyRestoreMs covers RestoreStateLazy end to end (open + mmap +
 	// header/index/graph validation) — the time to first-query readiness,
 	// with every answer body still on disk.
-	V2SaveMs        float64
-	V3SaveMs        float64
-	V2RestoreMs     float64
-	V3RestoreMs     float64
-	V3LazyRestoreMs float64
-	// RestoreSpeedup is V2RestoreMs/V3RestoreMs; LazySpeedup is
-	// V2RestoreMs/V3LazyRestoreMs (how much sooner a rebooted daemon
-	// serves its first query).
-	RestoreSpeedup float64
-	LazySpeedup    float64
+	SaveMs        float64
+	RestoreMs     float64
+	LazyRestoreMs float64
+	// LazySpeedup is RestoreMs/LazyRestoreMs: how much sooner a rebooted
+	// daemon serves its first query than after an eager restore.
+	LazySpeedup float64
 }
 
 // bestOf runs fn n times and returns the fastest wall time in
@@ -63,8 +54,8 @@ func bestOf(n int, fn func() error) (float64, error) {
 }
 
 // RunPersist warms one tier's cache with the same mixed workload the
-// throughput and memory experiments use, then measures both snapshot
-// formats' save and restore costs over it.
+// throughput and memory experiments use, then measures the snapshot's
+// save, eager-restore and lazy-restore costs over it.
 func RunPersist(seed int64, tier ThroughputTier) (*PersistResult, error) {
 	dataset := MoleculeDataset(seed, tier.DatasetSize)
 	method := ftv.NewGGSXMethod(dataset, 3)
@@ -97,35 +88,23 @@ func RunPersist(seed int64, tier ThroughputTier) (*PersistResult, error) {
 	}
 	const rounds = 3
 
-	var v2, v3 bytes.Buffer
-	if r.V2SaveMs, err = bestOf(rounds, func() error {
-		v2.Reset()
-		return c.WriteStateV2(&v2)
+	var snap bytes.Buffer
+	if r.SaveMs, err = bestOf(rounds, func() error {
+		snap.Reset()
+		return c.WriteState(&snap)
 	}); err != nil {
-		return nil, fmt.Errorf("v2 save: %w", err)
+		return nil, fmt.Errorf("save: %w", err)
 	}
-	if r.V3SaveMs, err = bestOf(rounds, func() error {
-		v3.Reset()
-		return c.WriteState(&v3)
-	}); err != nil {
-		return nil, fmt.Errorf("v3 save: %w", err)
-	}
-	r.V2Bytes = v2.Len()
-	r.V3Bytes = v3.Len()
+	r.Bytes = snap.Len()
 
 	restorer, err := core.New(method, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	if r.V2RestoreMs, err = bestOf(rounds, func() error {
-		return restorer.ReadState(bytes.NewReader(v2.Bytes()))
+	if r.RestoreMs, err = bestOf(rounds, func() error {
+		return restorer.ReadState(bytes.NewReader(snap.Bytes()))
 	}); err != nil {
-		return nil, fmt.Errorf("v2 restore: %w", err)
-	}
-	if r.V3RestoreMs, err = bestOf(rounds, func() error {
-		return restorer.ReadState(bytes.NewReader(v3.Bytes()))
-	}); err != nil {
-		return nil, fmt.Errorf("v3 restore: %w", err)
+		return nil, fmt.Errorf("restore: %w", err)
 	}
 
 	dir, err := os.MkdirTemp("", "gcpersist")
@@ -134,10 +113,10 @@ func RunPersist(seed int64, tier ThroughputTier) (*PersistResult, error) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "state.gcs3")
-	if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
-	if r.V3LazyRestoreMs, err = bestOf(rounds, func() error {
+	if r.LazyRestoreMs, err = bestOf(rounds, func() error {
 		closer, err := restorer.RestoreStateLazy(path)
 		if err != nil {
 			return err
@@ -147,14 +126,11 @@ func RunPersist(seed int64, tier ThroughputTier) (*PersistResult, error) {
 		// handle owes nothing after the restore itself.
 		return closer.Close()
 	}); err != nil {
-		return nil, fmt.Errorf("v3 lazy restore: %w", err)
+		return nil, fmt.Errorf("lazy restore: %w", err)
 	}
 
-	if r.V3RestoreMs > 0 {
-		r.RestoreSpeedup = r.V2RestoreMs / r.V3RestoreMs
-	}
-	if r.V3LazyRestoreMs > 0 {
-		r.LazySpeedup = r.V2RestoreMs / r.V3LazyRestoreMs
+	if r.LazyRestoreMs > 0 {
+		r.LazySpeedup = r.RestoreMs / r.LazyRestoreMs
 	}
 	return r, nil
 }

@@ -167,7 +167,7 @@ type queryCase struct {
 }
 
 // TestRestoreAfterCompactionCannotSkipRecords is the compaction ×
-// persistence regression: the v2 state format carries no epochs, so
+// persistence regression: the state format carries no epochs, so
 // ReadState stamps restored entries with the CURRENT epoch. That stamp is
 // only sound because additions since the write are impossible to restore
 // across — they grow the id space, and a size mismatch is refused — so a

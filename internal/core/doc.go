@@ -92,11 +92,10 @@
 //     entries acquire a refcounted canonical keyed by content
 //     fingerprint, the residency account charges each canonical once,
 //     and the pool's leaf mutex is the only lock the sharing costs.
-//     Persistence round-trips compact: the binary v3 snapshot stores
-//     each set's native container encoding verbatim (bitset
-//     AppendBinary/FromBinary), while the legacy v2 text format stores
-//     index lists and re-picks the smallest container at entryFromSig —
-//     either way a restored set is Compact()ed before publication.
+//     Persistence round-trips compact: the GCS3 snapshot stores each
+//     set's native container encoding verbatim (bitset
+//     AppendBinary/FromBinary), so a restored set comes back in the
+//     container it was published with.
 //
 // The regression fences: BenchmarkExecute* (bench_test.go) report
 // allocs/op for the exact-hit, indexed-miss and sub/super-hit classes,
@@ -108,11 +107,14 @@
 //
 // # Snapshot persistence: the GCS3 binary format
 //
-// WriteState serializes the cache in state format v3 ("GCS3"), a binary,
-// mmap-friendly layout; ReadState sniffs the magic and dispatches to the
-// v3 reader or falls through to the legacy v2 text parser (WriteStateV2
-// still produces v2). All integers are little-endian; every checksum is
-// FNV-1a 64. The layout (offsets in bytes):
+// WriteState serializes the cache in the one snapshot format, GCS3
+// (version 3), a binary, mmap-friendly layout; ReadState (eager) and
+// RestoreStateLazy read it through one reader, readState. A file in the
+// retired v2 text format (it opens with "gcstate ") is refused with an
+// error that names the format; like any unreadable snapshot it means a
+// cold start, since the cache holds only state Method M can recompute.
+// All integers are little-endian; every checksum is FNV-1a 64. The layout
+// (offsets in bytes):
 //
 //	header, 64 B:  magic "GCS3" [0,4)   version=3 u32 [4,8)
 //	               dsSize u64 [8,16)    dsEpoch i64 [16,24) (diagnostic)
@@ -138,10 +140,13 @@
 // the header, indexSum gates the whole index section, per-entry
 // graphSum/ansSum gate each body segment, and the records must tile the
 // body exactly (record i's bodyOff equals the running offset; the final
-// offset equals fileSize). Like v2, signatures and feature vectors are
-// rebuilt from the parsed graphs and cross-checked against the index —
-// never trusted from disk. A snapshot from a differently-sized dataset
-// is refused (dsSize must equal the current view's id-space size).
+// offset equals fileSize). Signatures and feature vectors are rebuilt
+// from the parsed graphs and cross-checked against the index — never
+// trusted from disk. A snapshot from a differently-sized dataset is
+// refused (dsSize must equal the current view's id-space size). One
+// function, lazyBody.decode, verifies and decodes every answer body
+// (read, ansSum, container decode, no trailing bytes, capacity): an
+// eager restore returns its error, lazy fault-in panics on it.
 //
 // # Lazy restore
 //
@@ -156,14 +161,15 @@
 //     lazyBody records (source, offset, length, checksum, capacity) plus
 //     a drops list — the ids tombstoned since the snapshot was written
 //     (dsSize equality proves no ADDS happened; ids are never reused).
-//     Fault-in reads the segment, verifies ansSum, decodes, applies
-//     drops, Compact()s, and publishes by CAS — fully lock-free, with
-//     cross-entry dedup via the source's checksum-keyed map (interning
-//     refcounts true up at the owning shard's next rechargeLocked).
+//     Fault-in decodes the segment (lazyBody.decode), applies drops
+//     (re-Compact()ing a set they changed), and publishes by CAS —
+//     fully lock-free. The faulted
+//     set reaches the intern pool at the owning shard's next
+//     rechargeLocked, like a lazily reconciled set.
 //   - Restored entries are stamped with the CURRENT dataset epoch
-//     (sound for the addition log by the dsSize check, exactly as in
-//     v2); a pending entry's epoch holds the log-compaction floor down
-//     until it faults or is evicted.
+//     (sound for the addition log by the dsSize check, as for an eager
+//     restore); a pending entry's epoch holds the log-compaction floor
+//     down until it faults or is evicted.
 //   - RemoveGraph on a pending entry appends to the drops list via a
 //     COW lazyBody clone published under the full lock hierarchy; a
 //     racing lock-free fault loses the CAS and retries against the new

@@ -310,10 +310,8 @@ func (c *Cache) rechargeLocked(sh *shard, e *Entry) {
 	}
 	st := e.answers()
 	if st.body != nil {
-		// Pending lazy body: nothing resident to intern yet. The fault-in
-		// path shares decoded sets through the snapshot source's dedup
-		// registry; pool references catch up here on the first true-up
-		// after the fault.
+		// Pending lazy body: nothing resident to intern yet. The decoded
+		// set reaches the pool here, on the first true-up after the fault.
 		return
 	}
 	if e.interned == st.set {

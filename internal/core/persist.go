@@ -2,69 +2,264 @@ package core
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"math"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
+	"graphcache/internal/mmap"
 )
 
 // Cache state persistence: a warm cache is the product of an expensive
 // query history, so a production deployment wants to survive restarts.
 // WriteState serializes the admitted entries (pending window entries are
 // deliberately excluded — they have not passed admission control);
-// ReadState restores them into a cache built over the SAME dataset, since
-// answer sets are stored as dataset positions.
+// ReadState and RestoreStateLazy restore them into a cache built over the
+// SAME dataset, since answer sets are stored as dataset positions. The
+// cache only holds derived state Method M can always recompute, so one
+// format is enough: a file the reader refuses is a cold start, never an
+// outage.
 //
-// Two formats exist. WriteState writes the current binary v3 format
-// ("GCS3", persist_v3.go): fixed header, fixed-size per-entry index
-// records, checksummed variable bodies holding each graph plus its
-// answer set in the set's native container encoding — and restores can
-// be LAZY, faulting answer bodies in on first use (RestoreStateLazy).
-// WriteStateV2 keeps the line-oriented text format below; ReadState
-// sniffs the leading magic and accepts either, so v2 files keep
-// restoring.
+// The format ("GCS3") is binary and mmap-friendly: a fixed-size header, a
+// fixed-size per-entry INDEX section and a variable BODY section, so a
+// restore can consume the index — and everything hit detection needs —
+// without touching the bodies at all:
 //
-// Format v2 (line-oriented, versioned):
+//	header (64 bytes, little-endian):
+//	  [0,4)    magic "GCS3"
+//	  [4,8)    version (uint32, = 3)
+//	  [8,16)   dataset size (uint64) — must equal the restoring cache's
+//	  [16,24)  dataset epoch at write (int64) — diagnostic only: epochs
+//	           restart with the process, so inequality is normal
+//	  [24,32)  entry count (uint64)
+//	  [32,40)  body section offset (uint64) = 64 + 136·entryCount
+//	  [40,48)  file size (uint64)
+//	  [48,56)  FNV-1a of the index section (uint64)
+//	  [56,64)  FNV-1a of header bytes [0,56) (uint64)
 //
-//	gcstate 2 <dataset-size> <entry-count>
-//	entry <type> <vertices> <edges> <baseCandidates> <hits> <savedTests> <savedCostNs>
-//	answers <count> <id> <id> ...
-//	<graph in the text codec>
-//	...
-//	end
+//	index record (136 bytes per entry, little-endian):
+//	  [0,8)     graph fingerprint (uint64)
+//	  [8,12)    query type (uint32)
+//	  [12,16)   base candidates |C_M| (uint32)
+//	  [16,72)   ftv.FeatureVector (fixed 56-byte codec, internal/ftv)
+//	  [72,80)   hits (int64)
+//	  [80,88)   saved tests (float64 bits)
+//	  [88,96)   saved cost ns (float64 bits)
+//	  [96,104)  absolute offset of the entry's body (uint64)
+//	  [104,112) graph byte length (uint64)
+//	  [112,120) answer byte length (uint64)
+//	  [120,128) FNV-1a of the graph bytes (uint64)
+//	  [128,136) FNV-1a of the answer bytes (uint64)
 //
-// Version 2 makes corruption detectable everywhere a version-1 file could
-// be silently truncated: the header carries the entry count, each entry
-// line carries the graph's vertex/edge counts (validated against the
-// parsed graph), each answers line carries its id count (ids must be
-// strictly increasing — the writer emits sorted Indices(), so any other
-// order is corruption), and the stream must close with an "end" trailer.
-// Recency/insertion ticks are reset on load (the new process has its own
-// clock); utility counters survive. Feature vectors, fingerprints and the
-// hit index are rebuilt from the parsed graphs, never trusted from disk.
+//	body, per entry, contiguous and in index order:
+//	  graph in the text codec (internal/graph), then the answer set in
+//	  the bitset binary container encoding (internal/bitset) — the set's
+//	  NATIVE container (sparse/run/dense tag + payload), so a round-trip
+//	  preserves the adaptive compression instead of re-encoding index
+//	  lists.
+//
+// Corruption detection is all-or-nothing: the header checksum covers the
+// section geometry, the index checksum covers every record, record
+// offsets must tile the body section exactly to the recorded file size,
+// and each graph and answer blob carries its own checksum — a single
+// flipped or truncated byte anywhere fails the restore with a descriptive
+// error and leaves the cache untouched. Recency/insertion ticks are reset
+// on load (the new process has its own clock); utility counters survive.
+// Signatures, feature summaries and the hit index are rebuilt from the
+// parsed graphs, never trusted from disk.
+//
+// # Lazy restore
+//
+// RestoreStateLazy reads the header, index and graph blobs eagerly, so
+// admission, feature-index rebuild and hit detection work immediately,
+// but leaves every ANSWER body in the file (mmapped on Unix via
+// internal/mmap, plain pread elsewhere). An entry's answer state is
+// published as a PENDING body (answerState with set nil); the first
+// loadAnswers faults the body in through the same decoder an eager
+// restore uses (lazyBody.decode), then publishes it through the cell's
+// CAS — the same epoch-stamped publish discipline lazy reconciliation
+// uses, and equally lock-free, so fault-in is legal on the
+// //gclint:nolocks query path. A faulted set reaches the intern pool at
+// the owning shard's next true-up (rechargeLocked), exactly like lazily
+// reconciled sets do.
+//
+// Dataset mutations between restore and fault-in stay exact: removals
+// append the tombstoned id to the pending state's drop list (applied
+// after decode), and additions are reconciled from the addition log on
+// the read path — the pending epoch holds the log's compaction floor
+// down until the entry faults in. A body that fails verification at
+// fault-in time panics: the restore-time validation accepted the file,
+// so the backing file was corrupted or truncated AFTER restore, and no
+// exact answer can be produced (the kernel never returns approximate
+// answers — the same contract as the SelfCheck panic).
 
-const stateVersionV2 = 2
+const (
+	stateMagic     = "GCS3"
+	stateVersion   = 3
+	stateHeaderLen = 64
+	stateIndexLen  = 136
 
-// WriteStateV2 serializes the cache's admitted entries to w in the
-// legacy text format. It takes the read side of the dataset mutex (the
-// recorded answer ids must belong to one dataset snapshot) plus policyMu
-// (the utility fields it records are mutated under it) plus every shard
-// lock, so the written state is one consistent snapshot even under
-// concurrent queries. Entries stale with respect to dataset additions
-// (LazyReconcile) are reconciled before serialization — the on-disk
-// format carries no epochs, so what it stores must be exact at the
-// header's dataset size. Every write is error-checked, and the graph
-// codec writes through the same buffered writer as the state lines —
-// exactly one writer touches w, so no flush ordering can interleave.
+	// retiredMagic opens every file in the retired v2 text format, which
+	// no reader accepts any more; it is recognized only to say so.
+	retiredMagic = "gcstate "
+)
+
+// fnv1a is the 64-bit FNV-1a hash of data — the checksum used by every
+// snapshot section. Not cryptographic: it detects corruption, not
+// tampering.
+func fnv1a(data []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// stateSource is one open snapshot backing a restore: the random-access
+// reader (an mmap.File for RestoreStateLazy, an in-memory buffer for
+// ReadState), plus the Monitor the fault counter reports to. For a lazy
+// restore the source must stay open for the cache's lifetime — Close
+// only after the cache is done (or after a later WriteState materialized
+// everything).
+type stateSource struct {
+	r      io.ReaderAt
+	size   int64
+	closer io.Closer
+	mon    *Monitor
+}
+
+// Close releases the backing reader (a no-op for in-memory sources).
+func (s *stateSource) Close() error {
+	if s.closer != nil {
+		return s.closer.Close()
+	}
+	return nil
+}
+
+func newMemStateSource(data []byte) *stateSource {
+	return &stateSource{r: bytes.NewReader(data), size: int64(len(data))}
+}
+
+// lazyBody locates one entry's answer set inside a snapshot. Eager
+// restores decode it on the spot; lazy restores publish it as a pending
+// answer state. Immutable after publication (a removal publishes a fresh
+// lazyBody via withDrop — see RemoveGraph); the whole struct is part of
+// the COW answerState.
+type lazyBody struct {
+	src    *stateSource
+	off    int64
+	length int64
+	sum    uint64
+	// cap is the answer set's capacity: the dataset size at write time
+	// (== at restore time; growth since restore is reconciled from the
+	// addition log after fault-in, like any stale entry).
+	cap int
+	// drops are ids tombstoned AFTER the snapshot was written (at restore
+	// time: the complement of the live mask; afterwards: appended by
+	// RemoveGraph), cleared from the decoded set at fault-in.
+	drops []int
+}
+
+// withDrop returns a copy of b with gid appended to the drop list. The
+// receiver is never mutated — it may be published.
+func (b *lazyBody) withDrop(gid int) *lazyBody {
+	nb := *b
+	nb.drops = append(append([]int(nil), b.drops...), gid)
+	return &nb
+}
+
+// decode reads, verifies and decodes the body into an owned set, drops
+// NOT applied: read, checksum, container decode, no trailing bytes, the
+// recorded capacity. The one answer-body decoder — eager restore returns
+// its error, lazy fault-in panics on it.
+func (b *lazyBody) decode() (*bitset.Set, error) {
+	buf := make([]byte, b.length)
+	if err := readFullAt(b.src.r, buf, b.off, "answer body"); err != nil {
+		return nil, err
+	}
+	if fnv1a(buf) != b.sum {
+		return nil, stateError("answer body at offset %d: checksum mismatch", b.off)
+	}
+	set, n, err := bitset.FromBinary(buf)
+	if err != nil {
+		return nil, stateError("answer body at offset %d: %v", b.off, err)
+	}
+	if n != len(buf) {
+		return nil, stateError("answer body at offset %d: %d trailing bytes", b.off, len(buf)-n)
+	}
+	if set.Len() != b.cap {
+		return nil, stateError("answer body at offset %d: capacity %d, want %d", b.off, set.Len(), b.cap)
+	}
+	return set, nil
+}
+
+// materialize decodes the body with drops applied. Panics on a decode
+// failure: restore validated this file, so a mismatch means the backing
+// file changed underneath a live lazy cache — no exact answer exists
+// (see the format comment).
+func (b *lazyBody) materialize() *bitset.Set {
+	set, err := b.decode()
+	if err != nil {
+		panic(fmt.Sprintf("%v (snapshot file corrupted or truncated since restore)", err))
+	}
+	if len(b.drops) == 0 {
+		return set
+	}
+	for _, gid := range b.drops {
+		if gid < set.Len() {
+			set.Remove(gid)
+		}
+	}
+	// The drop-adjusted set is owned until published; re-encode it into
+	// its smallest container like every publication point does.
+	set.Compact()
+	return set
+}
+
+// faultAnswers materializes a pending answer state and publishes it
+// through the cell's CAS, returning the resulting state. Lock-free; safe
+// to race with other faulters (first publish wins, the loser re-reads)
+// and with RemoveGraph's drop-list republish (the CAS fails against the
+// superseded pending state and the retry sees the new drop list).
+func (e *Entry) faultAnswers(st *answerState) *answerState {
+	for {
+		b := st.body
+		next := &answerState{set: b.materialize(), epoch: st.epoch}
+		if e.ans.p.CompareAndSwap(st, next) {
+			if b.src.mon != nil {
+				b.src.mon.stateBodyFaults.Add(1)
+			}
+			return next
+		}
+		st = e.ans.p.Load()
+		if st.body == nil {
+			return st
+		}
+	}
+}
+
+// WriteState serializes the cache's admitted entries to w. It takes the
+// read side of the dataset mutex (the recorded answer ids must belong to
+// one dataset snapshot) plus policyMu (the utility fields it records are
+// mutated under it) plus every shard lock, so the written state is one
+// consistent snapshot even under concurrent queries. Entries stale with
+// respect to dataset additions (LazyReconcile) are reconciled to the
+// pinned view before serialization — the format carries no per-entry
+// epochs, so what it stores must be exact at the header's dataset size
+// (on a lazily restored cache this faults every remaining body in — the
+// new snapshot must not depend on the old backing file). Answer sets are
+// written in their native containers, so save→restore preserves the
+// adaptive compression byte-for-byte.
 //
 //gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
 //gclint:deterministic
-func (c *Cache) WriteStateV2(w io.Writer) error {
+func (c *Cache) WriteState(w io.Writer) error {
 	c.dsMu.RLock()
 	defer c.dsMu.RUnlock()
 	view := c.method.View()
@@ -74,258 +269,275 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 	defer c.unlockAll()
 
 	all := c.gatherLocked()
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(all)); err != nil {
-		return err
-	}
+	index := make([]byte, 0, len(all)*stateIndexLen)
+	var body []byte
+	bodyOff := uint64(stateHeaderLen + len(all)*stateIndexLen)
+	var gbuf bytes.Buffer
 	for _, e := range all {
-		if _, err := fmt.Fprintf(bw, "entry %d %d %d %d %d %g %g\n",
-			e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs); err != nil {
+		set := c.reconciledAnswers(e, view)
+		gbuf.Reset()
+		if err := graph.WriteGraph(&gbuf, e.Graph); err != nil {
 			return err
 		}
-		ids := c.reconciledAnswers(e, view).Indices()
-		if _, err := fmt.Fprintf(bw, "answers %d", len(ids)); err != nil {
-			return err
-		}
-		for _, id := range ids {
-			if _, err := fmt.Fprintf(bw, " %d", id); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-		if err := graph.WriteGraph(bw, e.Graph); err != nil {
-			return err
-		}
+		gb := gbuf.Bytes()
+		entryOff := bodyOff + uint64(len(body))
+		body = append(body, gb...)
+		ansStart := len(body)
+		body = set.AppendBinary(body)
+		ab := body[ansStart:]
+
+		index = binary.LittleEndian.AppendUint64(index, uint64(e.Fingerprint))
+		index = binary.LittleEndian.AppendUint32(index, uint32(e.Type))
+		index = binary.LittleEndian.AppendUint32(index, uint32(e.BaseCandidates))
+		index = e.FV.AppendBinary(index)
+		index = binary.LittleEndian.AppendUint64(index, uint64(e.Hits))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(e.SavedTests))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(e.SavedCostNs))
+		index = binary.LittleEndian.AppendUint64(index, entryOff)
+		index = binary.LittleEndian.AppendUint64(index, uint64(len(gb)))
+		index = binary.LittleEndian.AppendUint64(index, uint64(len(ab)))
+		index = binary.LittleEndian.AppendUint64(index, fnv1a(gb))
+		index = binary.LittleEndian.AppendUint64(index, fnv1a(ab))
 	}
-	if _, err := fmt.Fprintln(bw, "end"); err != nil {
-		return err
+
+	hdr := make([]byte, 0, stateHeaderLen)
+	hdr = append(hdr, stateMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, stateVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(view.Size()))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(view.Epoch()))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(all)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff)
+	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff+uint64(len(body)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, fnv1a(index))
+	hdr = binary.LittleEndian.AppendUint64(hdr, fnv1a(hdr))
+
+	bw := bufio.NewWriter(w)
+	for _, sec := range [][]byte{hdr, index, body} {
+		if _, err := bw.Write(sec); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }
 
-// stateError builds a line-numbered restore error.
-func stateError(line int, format string, args ...any) error {
-	return fmt.Errorf("core: state line %d: %s", line, fmt.Sprintf(format, args...))
-}
-
-// ReadState restores entries serialized by WriteState (binary v3) or
-// WriteStateV2 (text) into the cache, replacing its current contents; the
-// leading magic selects the parser. The cache's dataset size must match
-// the recorded one; anything else indicates the state belongs to a
-// different deployment.
+// ReadState restores a snapshot written by WriteState into the cache,
+// replacing its current contents — eagerly: every answer body is read,
+// verified and decoded before anything is installed. The cache's dataset
+// size must match the recorded one; anything else indicates the state
+// belongs to a different deployment.
 //
-// Restores are all-or-nothing: the entire stream is parsed and validated —
-// entry counts, per-graph vertex/edge counts, answer-id ranges and
-// ordering, checksums and section bounds in v3, the end trailer in v2 —
-// before the first lock is taken, so a truncated or corrupt state file
-// fails with a descriptive error and leaves the cache exactly as it was
+// Restores are all-or-nothing: the entire snapshot is validated before
+// the first lock is taken, so a truncated or corrupt state file fails
+// with a descriptive error and leaves the cache exactly as it was
 // (empty, when the load happens at boot). On success the feature index is
 // rebuilt before the locks drop.
 func (c *Cache) ReadState(r io.Reader) error {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(stateMagicV3)); err == nil && string(magic) == stateMagicV3 {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return fmt.Errorf("core: reading state: %w", err)
-		}
-		return c.readStateV3(newMemStateSource(data), false)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading state: %w", err)
 	}
-	return c.readStateV2(br)
+	return c.readState(newMemStateSource(data), false)
 }
 
-// readStateV2 parses and restores the v2 text format.
+// RestoreStateLazy restores a snapshot from path in lazy mode: the
+// header, index and graphs load now (hit detection is immediately live),
+// answer bodies fault in on first access. The returned closer owns the
+// backing file (mmapped where the platform supports it) and must stay
+// open for the cache's lifetime; closing it while unfaulted entries
+// remain makes their first access panic. The restore itself is
+// all-or-nothing, like ReadState.
+func (c *Cache) RestoreStateLazy(path string) (io.Closer, error) {
+	f, err := mmap.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	src := &stateSource{r: f, size: f.Size(), closer: f}
+	if err := c.readState(src, true); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return src, nil
+}
+
+// stateError builds a restore error.
+func stateError(format string, args ...any) error {
+	return fmt.Errorf("core: state: %s", fmt.Sprintf(format, args...))
+}
+
+// readFullAt reads exactly len(p) bytes at off, mapping a short read to
+// a truncation error. On a short read p still holds the bytes that were
+// available.
+func readFullAt(r io.ReaderAt, p []byte, off int64, what string) error {
+	n, err := r.ReadAt(p, off)
+	if n < len(p) {
+		if err == nil || err == io.EOF {
+			return stateError("%s truncated: %d of %d bytes at offset %d", what, n, len(p), off)
+		}
+		return stateError("reading %s at offset %d: %v", what, off, err)
+	}
+	return nil
+}
+
+// readState parses and restores a snapshot from src, eagerly or lazily.
+// Validation mirrors the writer exactly (see the format comment); nothing
+// is installed until the whole snapshot — in lazy mode: header, index and
+// every graph blob — verified.
 //
 //gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
-func (c *Cache) readStateV2(br *bufio.Reader) error {
-	// The read side of the dataset mutex pins the dataset for the whole
-	// restore (mutations are excluded; concurrent queries are not — they
-	// are fenced by the lock hierarchy below, exactly like before).
+func (c *Cache) readState(src *stateSource, lazy bool) error {
 	c.dsMu.RLock()
 	defer c.dsMu.RUnlock()
 	view := c.method.View()
-	lineNo := 1
-	header, err := br.ReadString('\n')
-	if err != nil && header == "" {
-		return stateError(lineNo, "reading header: %v", err)
+
+	hdr := make([]byte, stateHeaderLen)
+	err := readFullAt(src.r, hdr, 0, "header")
+	// The retired text format is named before any length check, so even a
+	// file shorter than a header says why it was refused. A short read
+	// leaves zeros past the data, which can never complete the prefix.
+	if bytes.HasPrefix(hdr, []byte(retiredMagic)) {
+		return stateError("file is in the retired v2 text format, which is no longer readable; re-save the cache to write a GCS3 snapshot")
 	}
-	// The version is checked on its own first, so a file written by a
-	// different format version gets the actionable "unsupported version"
-	// error rather than a generic header complaint (v1 headers have fewer
-	// fields and would fail the full field-count check outright). The
-	// header must then consist of EXACTLY the four expected fields —
-	// fmt.Sscanf would silently accept trailing junk after the entry
-	// count, hiding corruption on the one line that authenticates the
-	// rest of the stream.
-	hfields := strings.Fields(strings.TrimSpace(header))
-	if len(hfields) < 2 || hfields[0] != "gcstate" {
-		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
-	}
-	version, err := strconv.Atoi(hfields[1])
 	if err != nil {
-		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
+		return err
 	}
-	if version != stateVersionV2 {
-		return stateError(lineNo, "unsupported state version %d (want %d)", version, stateVersionV2)
+	if string(hdr[:4]) != stateMagic {
+		return stateError("bad magic %q", hdr[:4])
 	}
-	if len(hfields) != 4 {
-		return stateError(lineNo, "bad header %q: want 4 fields, got %d", strings.TrimSpace(header), len(hfields))
+	if got, want := fnv1a(hdr[:56]), binary.LittleEndian.Uint64(hdr[56:]); got != want {
+		return stateError("header checksum mismatch")
 	}
-	dsSize, err1 := strconv.Atoi(hfields[2])
-	entryCount, err2 := strconv.Atoi(hfields[3])
-	if err1 != nil || err2 != nil {
-		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != stateVersion {
+		return stateError("unsupported state version %d (want %d)", v, stateVersion)
 	}
-	if dsSize != view.Size() {
-		return stateError(lineNo, "state is for a %d-graph dataset, cache has %d", dsSize, view.Size())
+	dsSize64 := binary.LittleEndian.Uint64(hdr[8:])
+	entryCount := binary.LittleEndian.Uint64(hdr[24:])
+	bodyOff := binary.LittleEndian.Uint64(hdr[32:])
+	fileSize := binary.LittleEndian.Uint64(hdr[40:])
+	indexSum := binary.LittleEndian.Uint64(hdr[48:])
+	if dsSize64 != uint64(view.Size()) {
+		return stateError("state is for a %d-graph dataset, cache has %d", dsSize64, view.Size())
 	}
-	if entryCount < 0 {
-		return stateError(lineNo, "negative entry count %d", entryCount)
+	dsSize := int(dsSize64)
+	if fileSize != uint64(src.size) {
+		return stateError("file size %d, header declares %d", src.size, fileSize)
 	}
-
-	type pending struct {
-		qt             ftv.QueryType
-		vertices       int
-		edges          int
-		baseCandidates int
-		hits           int64
-		savedTests     float64
-		savedCost      float64
-		answers        []int
-		hasAnswers     bool // exactly one answers line per entry
-		entryLine      int  // line number of the entry line
-		graphStart     int  // line number where the graph text begins
-		graphText      strings.Builder
-	}
-	var items []*pending
-	var cur *pending
-	sawEnd := false
-parse:
-	for {
-		line, err := br.ReadString('\n')
-		if line == "" && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return stateError(lineNo+1, "reading state: %v", err)
-		}
-		lineNo++
-		trimmed := strings.TrimSpace(line)
-		fields := strings.Fields(trimmed)
-		switch {
-		case len(fields) == 1 && fields[0] == "end":
-			sawEnd = true
-			break parse
-		case len(fields) > 0 && fields[0] == "entry":
-			if len(fields) != 8 {
-				return stateError(lineNo, "bad entry line %q: want 8 fields, got %d", trimmed, len(fields))
-			}
-			cur = &pending{entryLine: lineNo, graphStart: lineNo + 2} // graph follows the answers line
-			qt, err1 := strconv.Atoi(fields[1])
-			n, err2 := strconv.Atoi(fields[2])
-			m, err3 := strconv.Atoi(fields[3])
-			bc, err4 := strconv.Atoi(fields[4])
-			hits, err5 := strconv.ParseInt(fields[5], 10, 64)
-			st, err6 := strconv.ParseFloat(fields[6], 64)
-			sc, err7 := strconv.ParseFloat(fields[7], 64)
-			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || err6 != nil || err7 != nil {
-				return stateError(lineNo, "bad entry line %q", trimmed)
-			}
-			if qt != int(ftv.Subgraph) && qt != int(ftv.Supergraph) {
-				return stateError(lineNo, "unknown query type %d", qt)
-			}
-			if n <= 0 || m < 0 {
-				return stateError(lineNo, "implausible graph size %d/%d", n, m)
-			}
-			cur.qt = ftv.QueryType(qt)
-			cur.vertices = n
-			cur.edges = m
-			cur.baseCandidates = bc
-			cur.hits = hits
-			cur.savedTests = st
-			cur.savedCost = sc
-			items = append(items, cur)
-		case len(fields) > 0 && fields[0] == "answers":
-			if cur == nil {
-				return stateError(lineNo, "answers line before entry line")
-			}
-			if cur.hasAnswers {
-				return stateError(lineNo, "duplicate answers line for one entry")
-			}
-			cur.hasAnswers = true
-			if len(fields) < 2 {
-				return stateError(lineNo, "answers line without count")
-			}
-			count, err := strconv.Atoi(fields[1])
-			if err != nil || count < 0 {
-				return stateError(lineNo, "bad answers count %q", fields[1])
-			}
-			if got := len(fields) - 2; got != count {
-				return stateError(lineNo, "answers line truncated: declared %d ids, found %d", count, got)
-			}
-			// Ids must be strictly increasing: the writer emits sorted
-			// Indices(), so any duplicate or out-of-order id is corruption.
-			// Without this check a duplicated id ("answers 2 5 5") passes
-			// the declared count yet silently collapses to one bit in
-			// FromIndices below.
-			prev := -1
-			for _, f := range fields[2:] {
-				id, err := strconv.Atoi(f)
-				if err != nil || id < 0 || id >= dsSize {
-					return stateError(lineNo, "bad answer id %q", f)
-				}
-				if id <= prev {
-					return stateError(lineNo, "answer ids not strictly increasing at %q", f)
-				}
-				prev = id
-				cur.answers = append(cur.answers, id)
-			}
-		default:
-			if cur == nil {
-				return stateError(lineNo, "graph text before entry line: %q", trimmed)
-			}
-			cur.graphText.WriteString(line)
-		}
-		if err == io.EOF {
-			break
-		}
-	}
-	if !sawEnd {
-		return stateError(lineNo, "state truncated: missing end trailer")
-	}
-	if len(items) != entryCount {
-		return stateError(lineNo, "state truncated: header declares %d entries, found %d", entryCount, len(items))
+	if entryCount > (fileSize-stateHeaderLen)/stateIndexLen+1 ||
+		bodyOff != stateHeaderLen+entryCount*stateIndexLen || bodyOff > fileSize {
+		return stateError("section geometry: %d entries, body at %d, file size %d", entryCount, bodyOff, fileSize)
 	}
 
-	entries := make([]*Entry, 0, len(items))
-	for _, it := range items {
-		if !it.hasAnswers {
-			return stateError(it.entryLine, "entry has no answers line")
+	idx := make([]byte, bodyOff-stateHeaderLen)
+	if err := readFullAt(src.r, idx, stateHeaderLen, "index"); err != nil {
+		return err
+	}
+	if fnv1a(idx) != indexSum {
+		return stateError("index checksum mismatch")
+	}
+
+	// Ids tombstoned since the snapshot was written must be masked out of
+	// every restored set. Eager restores mask with the live set directly;
+	// lazy restores carry the tombstones as a drop list applied at
+	// fault-in (the live mask's capacity grows with later additions, but
+	// the drop list stays valid forever).
+	var drops []int
+	if lazy && view.LiveCount() != view.Size() {
+		live := view.Live()
+		for i := 0; i < dsSize; i++ {
+			if !live.Contains(i) {
+				drops = append(drops, i)
+			}
 		}
-		gs, err := graph.ReadAll(strings.NewReader(it.graphText.String()))
+	}
+	src.mon = &c.mon
+
+	entries := make([]*Entry, 0, entryCount)
+	expectOff := bodyOff
+	for i := uint64(0); i < entryCount; i++ {
+		rec := idx[i*stateIndexLen : (i+1)*stateIndexLen]
+		fp := binary.LittleEndian.Uint64(rec[0:])
+		qt := binary.LittleEndian.Uint32(rec[8:])
+		bc := binary.LittleEndian.Uint32(rec[12:])
+		fv, err := ftv.FeatureVectorFromBinary(rec[16:72])
 		if err != nil {
-			return stateError(it.graphStart, "entry graph: %v", err)
+			return stateError("entry %d: %v", i, err)
+		}
+		hits := int64(binary.LittleEndian.Uint64(rec[72:]))
+		savedTests := math.Float64frombits(binary.LittleEndian.Uint64(rec[80:]))
+		savedCost := math.Float64frombits(binary.LittleEndian.Uint64(rec[88:]))
+		entryOff := binary.LittleEndian.Uint64(rec[96:])
+		graphLen := binary.LittleEndian.Uint64(rec[104:])
+		ansLen := binary.LittleEndian.Uint64(rec[112:])
+		graphSum := binary.LittleEndian.Uint64(rec[120:])
+		ansSum := binary.LittleEndian.Uint64(rec[128:])
+
+		if qt != uint32(ftv.Subgraph) && qt != uint32(ftv.Supergraph) {
+			return stateError("entry %d: unknown query type %d", i, qt)
+		}
+		if hits < 0 {
+			return stateError("entry %d: negative hit count %d", i, hits)
+		}
+		if math.IsNaN(savedTests) || math.IsInf(savedTests, 0) || savedTests < 0 ||
+			math.IsNaN(savedCost) || math.IsInf(savedCost, 0) || savedCost < 0 {
+			return stateError("entry %d: implausible utility %g/%g", i, savedTests, savedCost)
+		}
+		// Records must tile the body section exactly: offsets are derived,
+		// not trusted, so no record can alias or skip another's bytes.
+		if entryOff != expectOff {
+			return stateError("entry %d: body offset %d, want %d", i, entryOff, expectOff)
+		}
+		if graphLen > fileSize || ansLen > fileSize || expectOff+graphLen+ansLen > fileSize {
+			return stateError("entry %d: body [%d,+%d+%d) exceeds file size %d", i, entryOff, graphLen, ansLen, fileSize)
+		}
+		expectOff += graphLen + ansLen
+
+		gb := make([]byte, graphLen)
+		if err := readFullAt(src.r, gb, int64(entryOff), fmt.Sprintf("entry %d graph", i)); err != nil {
+			return err
+		}
+		if fnv1a(gb) != graphSum {
+			return stateError("entry %d: graph checksum mismatch", i)
+		}
+		gs, err := graph.ReadAll(bytes.NewReader(gb))
+		if err != nil {
+			return stateError("entry %d: graph: %v", i, err)
 		}
 		if len(gs) != 1 {
-			return stateError(it.graphStart, "entry graph: want one graph, got %d", len(gs))
+			return stateError("entry %d: want one graph, got %d", i, len(gs))
 		}
-		if gs[0].N() != it.vertices || gs[0].M() != it.edges {
-			return stateError(it.graphStart,
-				"entry graph truncated: declared %d vertices / %d edges, parsed %d/%d",
-				it.vertices, it.edges, gs[0].N(), gs[0].M())
+		// Signatures are rebuilt from the parsed graph, never trusted from
+		// disk; the recorded fingerprint and feature vector must then agree
+		// with the rebuilt ones, or the index and body sections describe
+		// different graphs.
+		sig := c.signatureOf(gs[0])
+		if uint64(sig.fp) != fp {
+			return stateError("entry %d: fingerprint mismatch (index %#x, graph %#x)", i, fp, uint64(sig.fp))
 		}
-		answers := bitset.FromIndices(dsSize, it.answers)
-		// Ids tombstoned since the state was written are masked out: ids
-		// are never reused, so the remaining bits are still exact, and the
-		// restored entries are stamped with the current epoch.
-		answers.And(view.Live())
-		e := entryFromSig(0, gs[0], it.qt, answers, it.baseCandidates, c.signatureOf(gs[0]), 0, view.Epoch())
-		e.Hits = it.hits
-		e.SavedTests = it.savedTests
-		e.SavedCostNs = it.savedCost
+		if sig.fv != fv {
+			return stateError("entry %d: feature vector mismatch between index and graph", i)
+		}
+
+		body := &lazyBody{src: src, off: int64(entryOff + graphLen), length: int64(ansLen), sum: ansSum, cap: dsSize}
+		var e *Entry
+		if lazy {
+			body.drops = drops
+			e = entryShell(0, gs[0], ftv.QueryType(qt), int(bc), sig, 0)
+			e.ans.p.Store(&answerState{epoch: view.Epoch(), body: body})
+		} else {
+			set, err := body.decode()
+			if err != nil {
+				return err
+			}
+			set.And(view.Live())
+			e = entryFromSig(0, gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
+		}
+		e.Hits = hits
+		e.SavedTests = savedTests
+		e.SavedCostNs = savedCost
 		entries = append(entries, e)
+	}
+	if expectOff != fileSize {
+		return stateError("body section ends at %d, file size %d", expectOff, fileSize)
 	}
 
 	c.replaceEntries(entries)
@@ -333,10 +545,10 @@ parse:
 }
 
 // replaceEntries installs entries as the cache's entire content — the
-// shared commit phase of every restore. Stop-the-world: policyMu plus
-// every shard write lock, so no query observes a half-replaced cache and
-// every shard's pending window is cleared. Caller holds the read side of
-// dsMu (the entries' answer sets must stay exact for the pinned dataset
+// commit phase of every restore. Stop-the-world: policyMu plus every
+// shard write lock, so no query observes a half-replaced cache and every
+// shard's pending window is cleared. Caller holds the read side of dsMu
+// (the entries' answer sets must stay exact for the pinned dataset
 // snapshot through the install).
 //
 //gclint:acquires policyMu shard

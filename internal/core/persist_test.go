@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -122,17 +126,39 @@ func TestStateRejectsGarbage(t *testing.T) {
 		}
 	}
 
-	// Old-format files must get the actionable version diagnostic, not a
-	// generic header complaint.
-	err = c.ReadState(strings.NewReader("gcstate 1 5\nentry 0 1 0 0 0\n"))
-	if err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
-		t.Errorf("version-1 state: want version error, got %v", err)
+	// Files in the retired v2 text format are refused by both readers with
+	// an error that names the format, whatever their length — including
+	// inputs shorter than a GCS3 header.
+	retired := []string{
+		"gcstate ",
+		"gcstate 1 5\nentry 0 1 0 0 0\n",
+		"gcstate 2 5 0\nend\n",
+		"gcstate 2 5 1\nentry 0 2 1 0 0 0 0\nanswers 1 3\nt # 0\nv 0 1\nv 1 2\ne 0 1\nend\n",
+	}
+	for _, in := range retired {
+		if err := c.ReadState(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "retired v2 text format") {
+			t.Errorf("ReadState(%q): want the retired-format error, got %v", in, err)
+		}
+		path := filepath.Join(t.TempDir(), "state")
+		if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		closer, err := c.RestoreStateLazy(path)
+		if err == nil {
+			closer.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "retired v2 text format") {
+			t.Errorf("RestoreStateLazy(%q): want the retired-format error, got %v", in, err)
+		}
+		if c.Len() != 0 {
+			t.Fatalf("retired-format input %q left %d entries behind", in, c.Len())
+		}
 	}
 }
 
 // validState builds a warm cache and returns its serialized state along
 // with the cache (for content comparisons).
-func validState(t *testing.T, seed int64) (string, *Cache) {
+func validState(t *testing.T, seed int64) ([]byte, *Cache) {
 	t.Helper()
 	dataset := testDataset(seed, 20)
 	method := ftv.NewGGSXMethod(dataset, 3)
@@ -150,203 +176,107 @@ func validState(t *testing.T, seed int64) (string, *Cache) {
 		}
 	}
 	if c.Len() < 3 {
-		t.Fatalf("only %d admitted entries; corruption sweep needs more", c.Len())
+		t.Fatalf("only %d admitted entries; the restore tests need more", c.Len())
 	}
 	var buf bytes.Buffer
-	if err := c.WriteStateV2(&buf); err != nil {
+	if err := c.WriteState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String(), c
-}
-
-// Every proper prefix of a valid state — cut at line boundaries and at
-// arbitrary byte offsets — must be rejected with a line-numbered error and
-// leave the cache empty, never partially populated.
-func TestStateTruncationRejectedEverywhere(t *testing.T) {
-	state, src := validState(t, 81)
-	method := src.Method()
-	fresh := func() *Cache {
-		cfg := DefaultConfig()
-		cfg.Window = 2
-		return MustNew(method, cfg)
-	}
-
-	var cuts []int
-	for i, ch := range state {
-		if ch == '\n' {
-			cuts = append(cuts, i, i+1) // just before and just after each newline
-		}
-	}
-	for off := 0; off < len(state); off += 37 { // arbitrary mid-line offsets
-		cuts = append(cuts, off)
-	}
-	full := strings.TrimSuffix(state, "\n")
-	for _, cut := range cuts {
-		if cut >= len(state) {
-			continue
-		}
-		if state[:cut] == full {
-			continue // only the final newline is missing: content is complete
-		}
-		c := fresh()
-		err := c.ReadState(strings.NewReader(state[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at byte %d/%d accepted:\n%q", cut, len(state), tail(state[:cut]))
-		}
-		if !strings.Contains(err.Error(), "line") {
-			t.Errorf("truncation at byte %d: error lacks a line number: %v", cut, err)
-		}
-		if c.Len() != 0 || c.WindowLen() != 0 {
-			t.Fatalf("truncation at byte %d: cache partially populated (%d entries)", cut, c.Len())
-		}
-	}
-	// The full state still loads.
-	c := fresh()
-	if err := c.ReadState(strings.NewReader(state)); err != nil {
-		t.Fatalf("uncorrupted state rejected: %v", err)
-	}
-	if c.Len() != src.Len() {
-		t.Fatalf("restored %d entries, want %d", c.Len(), src.Len())
-	}
-}
-
-// tail returns the last ~2 lines of s for failure messages.
-func tail(s string) string {
-	if len(s) > 80 {
-		s = s[len(s)-80:]
-	}
-	return s
-}
-
-// Field-level corruption — flipped digits, wrong counts, out-of-range ids —
-// must be rejected with the offending line identified.
-func TestStateFieldCorruptionRejected(t *testing.T) {
-	state, _ := validState(t, 83)
-	lines := strings.SplitAfter(state, "\n")
-	corrupt := func(mutate func([]string) bool) string {
-		ls := append([]string(nil), lines...)
-		if !mutate(ls) {
-			return ""
-		}
-		return strings.Join(ls, "")
-	}
-	mutations := map[string]func([]string) bool{
-		"entry-vertex-count": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "entry ") {
-					f := strings.Fields(l)
-					f[2] = "99" // declared vertices no longer match the graph
-					ls[i] = strings.Join(f, " ") + "\n"
-					return true
-				}
-			}
-			return false
-		},
-		"answers-count": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "answers ") {
-					f := strings.Fields(l)
-					f[1] = "999"
-					ls[i] = strings.Join(f, " ") + "\n"
-					return true
-				}
-			}
-			return false
-		},
-		"answer-id-range": func(ls []string) bool {
-			for i, l := range ls {
-				f := strings.Fields(l)
-				if len(f) >= 3 && f[0] == "answers" {
-					f[2] = "100000"
-					ls[i] = strings.Join(f, " ") + "\n"
-					return true
-				}
-			}
-			return false
-		},
-		"header-entry-count": func(ls []string) bool {
-			ls[0] = "gcstate 2 20 99\n"
-			return true
-		},
-		"dropped-graph-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "v ") {
-					ls[i] = ""
-					return true
-				}
-			}
-			return false
-		},
-		"dropped-edge-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "e ") {
-					ls[i] = ""
-					return true
-				}
-			}
-			return false
-		},
-		"dropped-answers-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "answers ") {
-					ls[i] = ""
-					return true
-				}
-			}
-			return false
-		},
-		"duplicated-answers-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "answers ") {
-					ls[i] = l + l
-					return true
-				}
-			}
-			return false
-		},
-	}
-	method := ftv.NewGGSXMethod(testDataset(83, 20), 3)
-	for name, mutate := range mutations {
-		in := corrupt(mutate)
-		if in == "" {
-			t.Fatalf("%s: mutation found nothing to corrupt", name)
-		}
-		c := MustNew(method, DefaultConfig())
-		err := c.ReadState(strings.NewReader(in))
-		if err == nil {
-			t.Errorf("%s: corrupt state accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "line") {
-			t.Errorf("%s: error lacks a line number: %v", name, err)
-		}
-		if c.Len() != 0 {
-			t.Errorf("%s: failed restore left %d entries behind", name, c.Len())
-		}
-	}
+	return buf.Bytes(), c
 }
 
 // A failed restore into a WARM cache must leave its previous contents
-// untouched (all-or-nothing semantics).
+// untouched (all-or-nothing semantics) — whether the snapshot is cut
+// short or fails only at its last answer body.
 func TestStateFailedRestoreLeavesWarmCacheIntact(t *testing.T) {
 	state, warm := validState(t, 85)
-	before := warm.Len()
-	if before == 0 {
+	before := warm.Entries()
+	if len(before) == 0 {
 		t.Fatal("warm cache empty")
 	}
-	if err := warm.ReadState(strings.NewReader(state[:len(state)/2])); err == nil {
-		t.Fatal("truncated state accepted")
+	ranges := ansRanges(state)
+	flipped := append([]byte(nil), state...)
+	flipped[ranges[len(ranges)-1][0]] ^= 0x01 // the last entry's answer body
+
+	for name, bad := range map[string][]byte{
+		"truncated":    state[:len(state)/2],
+		"flipped-body": flipped,
+	} {
+		if err := warm.ReadState(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s: corrupt state accepted", name)
+		}
+		after := warm.Entries()
+		if len(after) != len(before) {
+			t.Fatalf("%s: failed restore changed the cache: %d entries, had %d", name, len(after), len(before))
+		}
+		for i, e := range after {
+			if e.ID != before[i].ID || e.Fingerprint != before[i].Fingerprint || !e.Answers().Equal(before[i].Answers()) {
+				t.Fatalf("%s: entry %d changed by a failed restore", name, i)
+			}
+		}
+		// The index still mirrors the surviving contents.
+		indexed := 0
+		for _, part := range warm.summariesView() {
+			indexed += len(part)
+		}
+		if indexed != len(before) {
+			t.Fatalf("%s: index has %d entries after failed restore, cache %d", name, indexed, len(before))
+		}
 	}
-	if warm.Len() != before {
-		t.Fatalf("failed restore changed the cache: %d entries, had %d", warm.Len(), before)
+}
+
+// An answer body can be corrupted into another well-formed set — a
+// flipped dense bit, a sparse index moved up by one — that only its
+// checksum tells apart. Both restore paths run the one body decoder, so
+// both must refuse it: eager restore with an error, lazy fault-in with a
+// panic.
+func TestStateAnswerChecksumCatchesWellFormedCorruption(t *testing.T) {
+	state, src := validState(t, 87)
+	off := -1
+	for _, r := range ansRanges(state) {
+		body := state[r[0] : r[0]+r[1]]
+		count := binary.LittleEndian.Uint64(body[9:])
+		if count == 0 {
+			continue
+		}
+		if body[0] == 1 { // dense: bit 0 of word 0 is always in range
+			off = int(r[0]) + 17
+			break
+		}
+		last := 17 + 4*int(count-1)
+		v := binary.LittleEndian.Uint32(body[last:])
+		if body[0] == 0 && v%2 == 0 && uint64(v+1) < binary.LittleEndian.Uint64(body[1:]) {
+			off = int(r[0]) + last // sparse: v → v+1 stays sorted and in range
+			break
+		}
 	}
-	// The index still mirrors the surviving contents.
-	indexed := 0
-	for _, part := range warm.summariesView() {
-		indexed += len(part)
+	if off < 0 {
+		t.Fatal("no answer body admits a well-formed corruption")
 	}
-	if indexed != before {
-		t.Fatalf("index has %d entries after failed restore, cache %d", indexed, before)
+	bad := append([]byte(nil), state...)
+	bad[off] ^= 0x01
+
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	eager := MustNew(src.Method(), cfg)
+	if err := eager.ReadState(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("eager restore: want an answer checksum error, got %v", err)
+	}
+	if eager.Len() != 0 {
+		t.Fatalf("rejected restore left %d entries behind", eager.Len())
+	}
+
+	lazy := MustNew(src.Method(), cfg)
+	if err := lazy.readState(newMemStateSource(bad), true); err != nil {
+		t.Fatalf("lazy restore reads no answer bodies, yet failed: %v", err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "checksum mismatch") {
+			t.Fatalf("fault-in of the corrupted body: want a checksum panic, got %v", r)
+		}
+	}()
+	for _, e := range lazy.Entries() {
+		e.Answers()
 	}
 }
 

@@ -50,47 +50,38 @@ func v3State(t *testing.T, c *Cache) []byte {
 	return buf.Bytes()
 }
 
-// The binary format must restore the exact state the text format does:
-// same entries, same answers, byte for byte — at every shard geometry.
-// Both restored caches are serialized again through the deterministic v2
-// writer and compared as bytes, which pins answers, utility counters and
-// admission order all at once.
-func TestV2V3Equivalence(t *testing.T) {
+// An eager restore reproduces the source cache exactly, at every shard
+// geometry: the same entries in the same (ID) order, each with the same
+// fingerprint, query type, base candidates, utility counters and answers.
+func TestSnapshotEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4, 32} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			src, _ := warmCache(t, 301+int64(shards), shards)
-			method := src.Method()
 			cfg := DefaultConfig()
 			cfg.Window = 2
 			cfg.Shards = shards
-
-			var v2 bytes.Buffer
-			if err := src.WriteStateV2(&v2); err != nil {
-				t.Fatal(err)
-			}
-			v3 := v3State(t, src)
-
-			fromV2 := MustNew(method, cfg)
-			if err := fromV2.ReadState(bytes.NewReader(v2.Bytes())); err != nil {
-				t.Fatalf("v2 restore: %v", err)
-			}
-			fromV3 := MustNew(method, cfg)
-			if err := fromV3.ReadState(bytes.NewReader(v3)); err != nil {
-				t.Fatalf("v3 restore: %v", err)
+			dst := MustNew(src.Method(), cfg)
+			if err := dst.ReadState(bytes.NewReader(v3State(t, src))); err != nil {
+				t.Fatalf("restore: %v", err)
 			}
 
-			if fromV2.Len() != src.Len() || fromV3.Len() != src.Len() {
-				t.Fatalf("entry counts: src %d, v2 %d, v3 %d", src.Len(), fromV2.Len(), fromV3.Len())
+			want, got := src.Entries(), dst.Entries()
+			if len(got) != len(want) {
+				t.Fatalf("restored %d entries, source has %d", len(got), len(want))
 			}
-			var rv2, rv3 bytes.Buffer
-			if err := fromV2.WriteStateV2(&rv2); err != nil {
-				t.Fatal(err)
-			}
-			if err := fromV3.WriteStateV2(&rv3); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rv2.Bytes(), rv3.Bytes()) {
-				t.Fatal("v2- and v3-restored caches re-serialize differently: answers are not byte-identical")
+			for i, w := range want {
+				g := got[i]
+				if g.Fingerprint != w.Fingerprint || g.Type != w.Type || g.BaseCandidates != w.BaseCandidates {
+					t.Fatalf("entry %d: identity (%#x, %v, %d), want (%#x, %v, %d)",
+						i, g.Fingerprint, g.Type, g.BaseCandidates, w.Fingerprint, w.Type, w.BaseCandidates)
+				}
+				if g.Hits != w.Hits || g.SavedTests != w.SavedTests || g.SavedCostNs != w.SavedCostNs {
+					t.Fatalf("entry %d: utility (%d, %g, %g), want (%d, %g, %g)",
+						i, g.Hits, g.SavedTests, g.SavedCostNs, w.Hits, w.SavedTests, w.SavedCostNs)
+				}
+				if !g.Answers().Equal(w.Answers()) {
+					t.Fatalf("entry %d: restored answers differ", i)
+				}
 			}
 		})
 	}
@@ -162,7 +153,7 @@ func ansRanges(raw []byte) [][2]int64 {
 	n := binary.LittleEndian.Uint64(raw[24:])
 	out := make([][2]int64, 0, n)
 	for i := uint64(0); i < n; i++ {
-		rec := raw[v3HeaderLen+i*v3IndexLen:]
+		rec := raw[stateHeaderLen+i*stateIndexLen:]
 		off := binary.LittleEndian.Uint64(rec[96:])
 		graphLen := binary.LittleEndian.Uint64(rec[104:])
 		ansLen := binary.LittleEndian.Uint64(rec[112:])
@@ -196,7 +187,7 @@ func TestV3LazyRestoreReadsNoAnswerBodies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 2
 	dst := MustNew(src.Method(), cfg)
-	if err := dst.readStateV3(&stateSource{r: cr, size: int64(len(raw))}, true); err != nil {
+	if err := dst.readState(&stateSource{r: cr, size: int64(len(raw))}, true); err != nil {
 		t.Fatal(err)
 	}
 	if len(cr.reads) == 0 {
@@ -236,7 +227,7 @@ func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
 	// so sharing one would share the mutations too); testDataset is
 	// deterministic, so both rebuild the dataset warmCache(601, ...) used.
 	lazy := MustNew(ftv.NewGGSXMethod(testDataset(601, 40), 3), cfg)
-	if err := lazy.readStateV3(newMemStateSource(raw), true); err != nil {
+	if err := lazy.readState(newMemStateSource(raw), true); err != nil {
 		t.Fatal(err)
 	}
 	eager := MustNew(ftv.NewGGSXMethod(testDataset(601, 40), 3), cfg)
@@ -315,7 +306,7 @@ func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 2
 	lazy := MustNew(src.Method(), cfg)
-	if err := lazy.readStateV3(newMemStateSource(raw), true); err != nil {
+	if err := lazy.readState(newMemStateSource(raw), true); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range lazy.Entries() {
@@ -336,7 +327,7 @@ func TestV3CorruptionSweep(t *testing.T) {
 	method := src.Method()
 
 	bodyOff := int(binary.LittleEndian.Uint64(raw[32:]))
-	cuts := []int{0, 3, 4, 8, v3HeaderLen - 1, v3HeaderLen, v3HeaderLen + v3IndexLen/2, bodyOff - 1, bodyOff, bodyOff + 1, len(raw) - 1}
+	cuts := []int{0, 3, 4, 8, stateHeaderLen - 1, stateHeaderLen, stateHeaderLen + stateIndexLen/2, bodyOff - 1, bodyOff, bodyOff + 1, len(raw) - 1}
 	for off := 0; off < len(raw); off += 97 {
 		cuts = append(cuts, off)
 	}
@@ -350,7 +341,7 @@ func TestV3CorruptionSweep(t *testing.T) {
 		}
 	}
 
-	flips := []int{0, 4, 9, 17, 25, 33, 41, 49, 57, v3HeaderLen, v3HeaderLen + 20, v3HeaderLen + 100, bodyOff, bodyOff + 1, len(raw) - 1}
+	flips := []int{0, 4, 9, 17, 25, 33, 41, 49, 57, stateHeaderLen, stateHeaderLen + 20, stateHeaderLen + 100, bodyOff, bodyOff + 1, len(raw) - 1}
 	for off := 0; off < len(raw); off += 131 {
 		flips = append(flips, off)
 	}
@@ -382,7 +373,7 @@ func TestV3LazyFaultOnCorruptedBodyPanics(t *testing.T) {
 	cfg.Window = 2
 	lazy := MustNew(src.Method(), cfg)
 	data := append([]byte(nil), raw...)
-	if err := lazy.readStateV3(newMemStateSource(data), true); err != nil {
+	if err := lazy.readState(newMemStateSource(data), true); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the first entry's answer body behind the restore's back.
