@@ -3,7 +3,8 @@
 # and hot-path contract analyzers (`lint`, see cmd/gclint), plus the
 # full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
-# their keep with -race armed) and the bench smoke gate.
+# their keep with -race armed), the coverage floor (`cover`, the same
+# gate CI runs) and the bench smoke gate.
 
 GO ?= go
 
@@ -149,4 +150,4 @@ bench-memory:
 bench-module:
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
-ci: vet bench-module staticcheck fmt-check lint race fuzz-smoke bench-smoke bench-json
+ci: vet bench-module staticcheck fmt-check lint race cover fuzz-smoke bench-smoke bench-json

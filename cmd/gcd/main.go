@@ -86,7 +86,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ggsxLen   = fs.Int("ggsx", 4, "GGSX path-feature length")
 		workers   = fs.Int("workers", 1, "parallel verification workers per query")
 		shards    = fs.Int("shards", 0, "cache lock shards (0 = default)")
-		lazyRec   = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
 		statePath = fs.String("state", "", "cache state file: restored (lazily) at boot, saved on graceful shutdown and POST /api/state/save")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -126,7 +125,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Policy = p
 	cfg.VerifyWorkers = *workers
 	cfg.Shards = *shards
-	cfg.LazyReconcile = *lazyRec
 	cache, err := core.New(method, cfg)
 	if err != nil {
 		return err

@@ -209,11 +209,11 @@ func runChurn(stdout io.Writer, seed int64, datasetSize, queries, mutations int,
 	row("drop+rebuild", cmp.Rebuild)
 	t.Render(stdout)
 	fmt.Fprintln(stdout, "\nmutation latency:")
-	lt := stats.NewTable("", "strategy", "avg add", "avg filter maint", "avg remove", "filter inserts", "filter rebuilds", "max addition log")
+	lt := stats.NewTable("", "strategy", "avg add", "avg filter maint", "avg remove", "filter inserts", "filter rebuilds")
 	lrow := func(name string, s bench.ChurnStats) {
 		lt.AddRow(name, s.AvgAddLatency().Round(time.Microsecond), s.AvgFilterMaintain().Round(time.Microsecond),
 			s.AvgRemoveLatency().Round(time.Microsecond),
-			s.FilterInserts, s.FilterRebuilds, s.MaxAdditionLog)
+			s.FilterInserts, s.FilterRebuilds)
 	}
 	lrow("maintained", cmp.Maintained)
 	lrow("drop+rebuild", cmp.Rebuild)

@@ -92,11 +92,11 @@
 //     from every admitted and window entry's answer set (a pointer swap
 //     per entry, no iso tests) and the id is masked out of all future
 //     candidate sets.
-//   - Additions verify the new graph against each cached entry — eagerly
-//     at mutation time by default, or lazily (Config.LazyReconcile) where
-//     entries carry a dataset epoch and a hit on a stale entry verifies
-//     only the delta graphs recorded in the addition log before its
-//     answers are trusted.
+//   - Additions are stop-the-world too: the new graph is verified against
+//     every admitted and window entry before AddGraph returns, so the
+//     query path never changes an answer set. Staleness needs no
+//     bookkeeping: ids are appended and never reused, so the graphs a set
+//     of capacity n lacks are exactly the live ids in [n, size).
 //   - Additions are O(graph), not O(dataset): every bundled filter
 //     implements the incremental-insert capability (ftv.InsertableFilter),
 //     so AddGraph patches the filter index through a copy-on-write
@@ -106,17 +106,11 @@
 //     Custom factory-built filters without the capability fall back to a
 //     full rebuild (observable via the filterInserts/filterRebuilds
 //     counters).
-//   - The addition log is self-compacting: the kernel tracks the minimum
-//     dataset epoch across all resident and pending entries and, at
-//     window turns and every stop-the-world pass, drops the records every
-//     entry has already passed. In eager mode the log drains at each
-//     mutation; in lazy mode it holds exactly the records the coldest
-//     entry still needs — bounded state under unbounded churn.
 //
 // Per-graph cost statistics and per-query bitsets grow with the dataset;
 // the HTTP layer surfaces mutations as POST /api/dataset/graphs and
 // DELETE /api/dataset/graphs/{id}, and /api/stats reports the maintenance
-// ledger (filterInserts, filterRebuilds, additionLogLen, logCompactions).
+// ledger (epoch, maintenanceTests, filterInserts, filterRebuilds).
 // Bundled methods are all mutation-capable; custom static filters opt in
 // via NewDynamicMethod.
 //

@@ -38,11 +38,9 @@ type ChurnStats struct {
 	AddNs, RemoveNs  int64
 	FilterMaintainNs int64
 	// FilterInserts / FilterRebuilds report how the strategy's method
-	// maintained its filter across the additions; MaxAdditionLog is the
-	// addition log's peak length, showing compaction keeping it bounded.
+	// maintained its filter across the additions.
 	FilterInserts  int64
 	FilterRebuilds int64
-	MaxAdditionLog int
 }
 
 // TotalTests is the strategy's full sub-iso bill: query-time tests plus
@@ -190,9 +188,6 @@ func runChurnPass(plan churnPlan, method *ftv.Method, cfg core.Config, drop bool
 			stats.Removes++
 		}
 		mutations++
-		if logLen := method.AdditionLogLen(); logLen > stats.MaxAdditionLog {
-			stats.MaxAdditionLog = logLen
-		}
 		if drop {
 			// The rebuild strategy has no maintenance: the only sound move
 			// after a mutation is an empty cache over the mutated dataset.

@@ -43,11 +43,6 @@ func TestRunChurnComparison(t *testing.T) {
 		t.Errorf("rebuild filter path: %d inserts / %d rebuilds, want 0 / %d",
 			cmp.Rebuild.FilterInserts, cmp.Rebuild.FilterRebuilds, cmp.Rebuild.Adds)
 	}
-	// Compaction keeps the maintained log bounded (eager mode drains it at
-	// every mutation, so its peak is at most the in-flight record).
-	if cmp.Maintained.MaxAdditionLog > 1 {
-		t.Errorf("maintained addition log peaked at %d, want ≤ 1", cmp.Maintained.MaxAdditionLog)
-	}
 	if cmp.Maintained.AvgAddLatency() <= 0 {
 		t.Error("no addition latency recorded")
 	}

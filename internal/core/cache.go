@@ -226,14 +226,12 @@ func (c *Cache) Bytes() int {
 }
 
 // Stats returns a snapshot of the operational counters, supplemented
-// with the method-side filter-maintenance counters and the current
-// addition-log length (those live on the method, which outlives any one
-// cache).
+// with the method-side filter-maintenance counters (those live on the
+// method, which outlives any one cache).
 func (c *Cache) Stats() Snapshot {
 	s := c.mon.Snapshot()
 	s.FilterInserts = c.method.FilterInserts()
 	s.FilterRebuilds = c.method.FilterRebuilds()
-	s.AdditionLogLen = c.method.AdditionLogLen()
 	s.AnswerBytes = c.pool.bytes.Load()
 	s.InternHits = c.pool.hits.Load()
 	s.InternMisses = c.pool.misses.Load()
@@ -305,8 +303,8 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 		return nil, fmt.Errorf("core: nil query graph")
 	}
 	// The read side of the dataset mutex pins one dataset snapshot for the
-	// whole query: filtering, hit reconciliation, verification, self-check
-	// and admission all see the same epoch. Queries share the read side
+	// whole query: filtering, hit detection, verification, self-check and
+	// admission all see the same dataset. Queries share the read side
 	// freely; only AddGraph/RemoveGraph take the write side.
 	c.dsMu.RLock()
 	defer c.dsMu.RUnlock()
@@ -324,7 +322,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// Stage 1: exact-match fast path — zero dataset tests.
 	t0 := time.Now()
 	if e := c.findExact(q, qt, fp); e != nil {
-		ans := c.reconciledAnswers(e, view)
+		ans := e.Answers()
 		hitTime := time.Since(t0)
 		saved := e.BaseCandidates
 		// Price the savings like the sub/super path does: per-graph cost
@@ -413,14 +411,10 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// is materialized per hit.
 	sc := getExecScratch()
 	defer putExecScratch(sc)
-	// A hit's answers must first be brought to the query's dataset epoch:
-	// stale sets miss graphs added since the entry was last reconciled,
-	// which would silently shrink S (lost savings — sound) but also
-	// wrongly exclude candidates via S′ (lost answers — unsound).
 	credits := sc.credits[:0]
 	sure := bitset.New(n)
 	for _, h := range answerHits {
-		ha := c.reconciledAnswers(h, view)
+		ha := h.Answers()
 		saved, cost := 0, 0.0
 		ha.ForEachAnd(cm, func(gid int) bool {
 			saved++
@@ -435,7 +429,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// cmCount already captured.
 	candPruned := cm
 	for _, h := range pruneHits {
-		ha := c.reconciledAnswers(h, view)
+		ha := h.Answers()
 		saved, cost := 0, 0.0
 		cm.ForEachAndNot(ha, func(gid int) bool {
 			saved++
@@ -520,11 +514,10 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	}
 	c.selfCheck(q, qt, res)
 
-	// Stage 6: admission via the window manager. The entry carries the
-	// view's epoch: its answers are exact for that dataset state, and any
-	// later mutation either patches it (eager) or is reconciled from the
-	// addition log before the entry's answers are next trusted (lazy).
-	c.admit(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch())
+	// Stage 6: admission via the window manager. The answers are exact
+	// for the pinned dataset, and every later mutation patches the entry
+	// before a query can read it again.
+	c.admit(q, qt, answers.Clone(), cmCount, sig, tick)
 	return res, nil
 }
 
@@ -727,11 +720,10 @@ func (c *Cache) recordCosts(costs []costSample) {
 // owning shard's lock.
 //
 //gclint:acquires policyMu shard
-func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
+func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick int64) {
 	sh := c.shardFor(sig.fp)
 	sh.mu.Lock()
-	e := entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick, epoch)
-	sh.stageLocked(e)
+	sh.window = append(sh.window, entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick))
 	full := len(sh.window) >= c.shardWindow
 	sh.mu.Unlock()
 	if full {
@@ -771,10 +763,9 @@ func (c *Cache) turnShard(sh *shard) {
 
 	for _, e := range sh.entries {
 		e.age(c.cfg.DecayFactor)
-		// True up this entry's byte charge: lazy reconciliation may have
-		// grown its answer set on the query path, where no account can be
-		// touched. O(1) per entry; keeps the memory-budget enforcement
-		// below honest in LazyReconcile mode.
+		// True up this entry's interning: a lazily restored body may have
+		// faulted in on the query path, where the pool cannot be touched.
+		// O(1) per entry; keeps the memory-budget enforcement below honest.
 		c.rechargeLocked(sh, e)
 	}
 	// The cross-shard ranking view is built once and reused by every
@@ -789,7 +780,7 @@ func (c *Cache) turnShard(sh *shard) {
 		sh.insertLocked(e)
 		c.mon.admissions.Add(1)
 	}
-	sh.resetWindowLocked()
+	sh.window = sh.window[:0]
 
 	// A window larger than the remaining capacity can still overflow.
 	if excess := int(c.res.entries.Load()) - c.cfg.Capacity; excess > 0 {
@@ -804,11 +795,6 @@ func (c *Cache) turnShard(sh *shard) {
 	// the admitted entries. O(this shard) — the other shards' published
 	// slices remain valid as-is.
 	c.republishShardLocked(sh)
-
-	// Window boundaries are where the addition log gets compacted: every
-	// entry this turn admitted or evicted moved the minimum entry epoch,
-	// so recompute it and drop the records everyone has passed.
-	c.compactAdditions(sh)
 }
 
 // chooseVictims returns x distinct, in-range positions into the

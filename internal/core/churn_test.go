@@ -57,105 +57,103 @@ func churnStream(t *testing.T, c *Cache, queries []gen.Query, extra []*graph.Gra
 	return mutations
 }
 
+// answerCapacityErr checks the maintenance invariant every mutation must
+// leave behind: each admitted and window entry's answer set spans the
+// whole dataset id space. A pending lazy-restore body is checked by its
+// recorded capacity, so the check never faults one in. Callers must not
+// race it with mutations.
+func answerCapacityErr(c *Cache) error {
+	size := c.DatasetInfo().Size
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		entries := append(append([]*Entry(nil), sh.entries...), sh.window...)
+		sh.mu.RUnlock()
+		for _, e := range entries {
+			n := 0
+			if st := e.answers(); st.body != nil {
+				n = st.body.cap
+			} else {
+				n = st.set.Len()
+			}
+			if n != size {
+				return fmt.Errorf("entry %d: answer capacity %d, dataset id space %d", e.ID, n, size)
+			}
+		}
+	}
+	return nil
+}
+
 // TestChurnEquivalence is the churn acceptance property: a mixed
 // add/remove/query stream yields answers byte-identical to the uncached
 // Method.Run after every mutation — SelfCheck cross-checks every executed
 // query, and after each mutation every admitted entry's answer set is
-// asserted equal to a fresh uncached run of its pattern (eager mode) or
-// revalidated through the hit path (lazy mode). Exercised at shards
-// {1, 4, 32} in both reconciliation modes; `go test -race` arms the
-// race detector over the same paths.
+// asserted equal to a fresh uncached run of its pattern. Exercised at
+// shards {1, 4, 32}; `go test -race` arms the race detector over the
+// same paths.
 func TestChurnEquivalence(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		for _, shards := range []int{1, 4, 32} {
-			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
-				dataset := testDataset(51, 30)
-				extra := testDataset(77, 8)
-				w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-					Size: 90, Mixed: true, PoolSize: 24,
-					ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-				})
+	for _, shards := range []int{1, 4, 32} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dataset := testDataset(51, 30)
+			extra := testDataset(77, 8)
+			w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
+				Size: 90, Mixed: true, PoolSize: 24,
+				ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Capacity = 16
+				cfg.Window = 4
+				cfg.Shards = shards
+			})
+			method := c.Method()
+
+			mutations := churnStream(t, c, w.Queries, extra, 9, func(i int) {
+				// Every admitted and window entry spans the mutated id
+				// space, and every admitted entry is byte-exact against
+				// the mutated dataset the moment the mutation returns.
+				if err := answerCapacityErr(c); err != nil {
+					t.Fatalf("after mutation at query %d: %v", i, err)
+				}
+				for _, e := range c.Entries() {
+					want := method.Run(e.Graph, e.Type).Answers
+					if !e.Answers().Equal(want) {
+						t.Fatalf("after mutation at query %d: entry %d answers %v, uncached %v",
+							i, e.ID, e.Answers(), want)
+					}
+				}
+			})
+			if mutations < 6 {
+				t.Fatalf("stream too tame: only %d mutations", mutations)
+			}
+			info := c.DatasetInfo()
+			if info.Epoch != int64(mutations) {
+				t.Fatalf("epoch %d after %d mutations", info.Epoch, mutations)
+			}
+
+			// Re-execute every admitted entry's pattern: exact hits must
+			// re-verify byte-identical (SelfCheck panics on any mismatch).
+			for _, e := range c.Entries() {
+				res, err := c.Execute(e.Graph, e.Type)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := testCache(t, dataset, func(cfg *Config) {
-					cfg.Capacity = 16
-					cfg.Window = 4
-					cfg.Shards = shards
-					cfg.LazyReconcile = lazy
-				})
-				method := c.Method()
-
-				mutations := churnStream(t, c, w.Queries, extra, 9, func(i int) {
-					if lazy {
-						return // entries reconcile at hit time; validated below
-					}
-					// Eager mode: every admitted entry must be byte-exact
-					// against the mutated dataset the moment the mutation
-					// returns — and with every entry current, compaction
-					// keeps the addition log empty across mutations.
-					if logLen := c.Stats().AdditionLogLen; logLen != 0 {
-						t.Fatalf("after mutation at query %d: %d addition records survive in eager mode", i, logLen)
-					}
-					for _, e := range c.Entries() {
-						want := method.Run(e.Graph, e.Type).Answers
-						if !e.Answers().Equal(want) {
-							t.Fatalf("after mutation at query %d: entry %d answers %v, uncached %v",
-								i, e.ID, e.Answers(), want)
-						}
-					}
-				})
-				if mutations < 6 {
-					t.Fatalf("stream too tame: only %d mutations", mutations)
+				want := method.Run(e.Graph, e.Type).Answers
+				if !res.Answers.Equal(want) {
+					t.Fatalf("entry %d: answers diverge after churn", e.ID)
 				}
-				info := c.DatasetInfo()
-				if info.Epoch != int64(mutations) {
-					t.Fatalf("epoch %d after %d mutations", info.Epoch, mutations)
-				}
-
-				// Re-execute every admitted entry's pattern: exact hits must
-				// reconcile (lazy) and re-verify byte-identical (SelfCheck
-				// panics on any mismatch).
-				for _, e := range c.Entries() {
-					res, err := c.Execute(e.Graph, e.Type)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := method.Run(e.Graph, e.Type).Answers
-					if !res.Answers.Equal(want) {
-						t.Fatalf("entry %d: answers diverge after churn", e.ID)
-					}
-				}
-				if lazy {
-					// The hit path must have paid reconciliation work.
-					if c.Stats().MaintenanceTests == 0 && c.Stats().DatasetAdds > 0 {
-						t.Error("lazy mode: no maintenance tests recorded despite additions")
-					}
-				}
-				// The addition log stays bounded under the mixed stream:
-				// eager mode drains it at every mutation (asserted above);
-				// lazy mode must show compaction actually reclaiming
-				// records — the stream's hits reconcile entries and its
-				// mutations/turns compact behind them, so a silently
-				// broken compaction would leave every record resident.
-				snap := c.Stats()
-				if lazy && snap.DatasetAdds > 0 && snap.LogRecordsDropped == 0 {
-					t.Fatalf("lazy mode: none of the %d addition records were ever compacted away", snap.DatasetAdds)
-				}
-				if int64(snap.AdditionLogLen)+snap.LogRecordsDropped != snap.DatasetAdds {
-					t.Fatalf("log ledger out of balance: %d resident + %d dropped != %d adds",
-						snap.AdditionLogLen, snap.LogRecordsDropped, snap.DatasetAdds)
-				}
-				// Every addition maintained the GGSX filter incrementally:
-				// the factory rebuild path never ran.
-				if snap.FilterRebuilds != 0 {
-					t.Errorf("%d full filter rebuilds during churn, want 0", snap.FilterRebuilds)
-				}
-				if snap.FilterInserts != snap.DatasetAdds {
-					t.Errorf("filter inserts %d, want one per addition (%d)", snap.FilterInserts, snap.DatasetAdds)
-				}
-			})
-		}
+			}
+			// Every addition maintained the GGSX filter incrementally:
+			// the factory rebuild path never ran.
+			snap := c.Stats()
+			if snap.FilterRebuilds != 0 {
+				t.Errorf("%d full filter rebuilds during churn, want 0", snap.FilterRebuilds)
+			}
+			if snap.FilterInserts != snap.DatasetAdds {
+				t.Errorf("filter inserts %d, want one per addition (%d)", snap.FilterInserts, snap.DatasetAdds)
+			}
+		})
 	}
 }
 
@@ -236,77 +234,118 @@ func TestChurnDeterministic(t *testing.T) {
 // TestConcurrentChurn is the -race gauntlet for live mutations: worker
 // goroutines stream queries (each cross-checked by SelfCheck against the
 // dataset snapshot it ran under) while a mutator goroutine interleaves
-// additions and removals. Runs in both reconciliation modes.
+// additions and removals.
 func TestConcurrentChurn(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			dataset := testDataset(61, 24)
-			extra := testDataset(88, 10)
-			w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
-				Size: 40, Mixed: true, PoolSize: 16,
-				ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Capacity = 12
-				cfg.Window = 3
-				cfg.Shards = 4
-				cfg.LazyReconcile = lazy
-			})
+	dataset := testDataset(61, 24)
+	c := testCache(t, dataset, concurrentChurnConfig)
+	concurrentChurn(t, c, concurrentChurnQueries(t, dataset))
+}
 
-			const workers = 4
-			var wg sync.WaitGroup
-			for wkr := 0; wkr < workers; wkr++ {
-				wg.Add(1)
-				go func(wkr int) {
-					defer wg.Done()
-					for i, q := range w.Queries {
-						if _, err := c.Execute(q.G, q.Type); err != nil {
-							t.Errorf("worker %d query %d: %v", wkr, i, err)
-							return
-						}
-					}
-				}(wkr)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(63))
-				for m := 0; m < 12; m++ {
-					if m%2 == 0 {
-						if _, err := c.AddGraph(extra[m/2]); err != nil {
-							t.Errorf("concurrent add %d: %v", m, err)
-							return
-						}
-						continue
-					}
-					info := c.DatasetInfo()
-					view := c.Method().View()
-					gid := rng.Intn(info.Size)
-					for view.Graph(gid) == nil {
-						gid = (gid + 1) % info.Size
-					}
-					if err := c.RemoveGraph(gid); err != nil {
-						t.Errorf("concurrent remove %d: %v", gid, err)
-						return
-					}
-				}
-			}()
-			wg.Wait()
+// TestConcurrentChurnFromLazyRestore runs the same gauntlet on a cache
+// restored lazily: queries fault pending bodies in lock-free while window
+// turns re-intern them under shard locks and the mutator's first
+// addition faults in whatever is left.
+func TestConcurrentChurnFromLazyRestore(t *testing.T) {
+	dataset := testDataset(61, 24)
+	queries := concurrentChurnQueries(t, dataset)
+	warm := testCache(t, dataset, concurrentChurnConfig)
+	for _, q := range queries {
+		if _, err := warm.Execute(q.G, q.Type); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := testCache(t, testDataset(61, 24), concurrentChurnConfig)
+	closer, err := c.RestoreStateLazy(v3StateFile(t, warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if c.Len() == 0 {
+		t.Fatal("restore admitted nothing")
+	}
+	concurrentChurn(t, c, queries)
+	if c.Stats().StateBodyFaults == 0 {
+		t.Fatal("no restored body faulted in")
+	}
+}
 
-			// Post-churn: every admitted entry revalidates byte-identical.
-			for _, e := range c.Entries() {
-				res, err := c.Execute(e.Graph, e.Type)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := c.Method().Run(e.Graph, e.Type).Answers; !res.Answers.Equal(want) {
-					t.Fatalf("entry %d: answers diverge after concurrent churn", e.ID)
+func concurrentChurnConfig(cfg *Config) {
+	cfg.Capacity = 12
+	cfg.Window = 3
+	cfg.Shards = 4
+}
+
+func concurrentChurnQueries(t *testing.T, dataset []*graph.Graph) []gen.Query {
+	t.Helper()
+	w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
+		Size: 40, Mixed: true, PoolSize: 16,
+		ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Queries
+}
+
+// concurrentChurn streams queries from several workers while a mutator
+// alternates additions and removals, then revalidates every admitted
+// entry against the uncached method.
+func concurrentChurn(t *testing.T, c *Cache, queries []gen.Query) {
+	t.Helper()
+	extra := testDataset(88, 10)
+	const workers = 4
+	var wg sync.WaitGroup
+	for wkr := 0; wkr < workers; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			for i, q := range queries {
+				if _, err := c.Execute(q.G, q.Type); err != nil {
+					t.Errorf("worker %d query %d: %v", wkr, i, err)
+					return
 				}
 			}
-		})
+		}(wkr)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(63))
+		for m := 0; m < 12; m++ {
+			if m%2 == 0 {
+				if _, err := c.AddGraph(extra[m/2]); err != nil {
+					t.Errorf("concurrent add %d: %v", m, err)
+					return
+				}
+				continue
+			}
+			info := c.DatasetInfo()
+			view := c.Method().View()
+			gid := rng.Intn(info.Size)
+			for view.Graph(gid) == nil {
+				gid = (gid + 1) % info.Size
+			}
+			if err := c.RemoveGraph(gid); err != nil {
+				t.Errorf("concurrent remove %d: %v", gid, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	// Post-churn: every answer set spans the id space and every admitted
+	// entry revalidates byte-identical.
+	if err := answerCapacityErr(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range c.Entries() {
+		res, err := c.Execute(e.Graph, e.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.Method().Run(e.Graph, e.Type).Answers; !res.Answers.Equal(want) {
+			t.Fatalf("entry %d: answers diverge after concurrent churn", e.ID)
+		}
 	}
 }
 
@@ -356,53 +395,48 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 	}
 }
 
-// TestAddGraphExtendsAnswers pins the addition rule: after AddGraph, a
-// cached entry whose pattern is contained in the new graph answers with
-// the new gid — immediately in eager mode, at the next hit in lazy mode —
-// and per-query bitsets grow with the dataset.
+// TestAddGraphExtendsAnswers pins the addition rule: the moment AddGraph
+// returns, a cached entry whose pattern is contained in the new graph
+// answers with the new gid, and per-query bitsets grow with the dataset.
 func TestAddGraphExtendsAnswers(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			dataset := testDataset(81, 10)
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Window = 1
-				cfg.Shards = 1
-				cfg.LazyReconcile = lazy
-			})
-			q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
-			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-				t.Fatal(err)
-			}
-			// Re-adding a copy of graph 2 guarantees the pattern embeds in
-			// the new graph too.
-			gid, err := c.AddGraph(dataset[2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gid != len(dataset) {
-				t.Fatalf("new gid %d, want %d", gid, len(dataset))
-			}
-			if !lazy {
-				for _, e := range c.Entries() {
-					if e.Graph == q && !e.Answers().Contains(gid) {
-						t.Fatal("eager mode: entry not reconciled at mutation time")
-					}
-				}
-			}
-			res, err := c.Execute(q, ftv.Subgraph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.ExactHit {
-				t.Fatal("expected an exact hit")
-			}
-			if res.Answers.Len() != len(dataset)+1 {
-				t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
-			}
-			if !res.Answers.Contains(gid) {
-				t.Fatal("added graph missing from reconciled answers")
-			}
-		})
+	dataset := testDataset(81, 10)
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1
+		cfg.Shards = 1
+	})
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	// Re-adding a copy of graph 2 guarantees the pattern embeds in the new
+	// graph too.
+	gid, err := c.AddGraph(dataset[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gid != len(dataset) {
+		t.Fatalf("new gid %d, want %d", gid, len(dataset))
+	}
+	if err := answerCapacityErr(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range c.Entries() {
+		if e.Graph == q && !e.Answers().Contains(gid) {
+			t.Fatal("entry not extended at mutation time")
+		}
+	}
+	res, err := c.Execute(q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ExactHit {
+		t.Fatal("expected an exact hit")
+	}
+	if res.Answers.Len() != len(dataset)+1 {
+		t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
+	}
+	if !res.Answers.Contains(gid) {
+		t.Fatal("added graph missing from the entry's answers")
 	}
 }
 

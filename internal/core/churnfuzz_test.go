@@ -8,6 +8,7 @@ import (
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 )
 
 // Property-based churn fuzzing: testing/quick drives random interleavings
@@ -16,7 +17,9 @@ import (
 // history — panics inside Execute and fails the property. Failing op
 // strings are shrunk to a minimal reproducer before reporting, and the
 // whole suite runs with a bounded op budget (maxChurnOps per case) so the
-// -race CI pass stays fast.
+// -race CI pass stays fast. Cases start either from a cold cache or
+// from a snapshot restored lazily, so pending answer bodies meet every
+// kind of mutation before and after they fault in.
 
 // maxChurnOps bounds the per-case op budget.
 const maxChurnOps = 48
@@ -46,26 +49,63 @@ func churnOpPool() []queryCase {
 
 var churnOpsPool = churnOpPool()
 
-// runChurnOps interprets ops over a fresh SelfCheck-armed cache: op%4
-// selects execute (0, 1 — queries dominate, like real streams), add (2)
-// or remove (3); the remaining bits pick the pattern/victim. It returns
-// the first correctness violation (SelfCheck panics are recovered into
-// errors so the shrinker can replay candidate op strings), or nil when
-// the whole interleaving stayed exact.
-func runChurnOps(ops []byte, shards int, lazy bool) (err error) {
+// queryCase pairs a pattern with its semantics for reuse across cases.
+type queryCase struct {
+	g  *graph.Graph
+	qt ftv.QueryType
+}
+
+// churnConfig is the SelfCheck-armed configuration every fuzz case runs.
+func churnConfig(shards int) Config {
+	cfg := DefaultConfig()
+	cfg.Capacity = 8
+	cfg.Window = 2
+	cfg.Shards = shards
+	cfg.SelfCheck = true
+	return cfg
+}
+
+// churnSnapshot writes a GCS3 snapshot of a cache warmed on the whole
+// query pool, for the cases that start from a lazy restore.
+func churnSnapshot(t *testing.T, shards int) string {
+	t.Helper()
+	c := MustNew(ftv.NewGGSXMethod(churnOpsDataset, 3), churnConfig(shards))
+	for _, q := range churnOpsPool {
+		if _, err := c.Execute(q.g, q.qt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() == 0 {
+		t.Fatal("warm-up admitted nothing")
+	}
+	return v3StateFile(t, c)
+}
+
+// runChurnOps interprets ops over a fresh SelfCheck-armed cache — cold,
+// or lazily restored from snapshot when it is non-empty: op%4 selects
+// execute (0, 1 — queries dominate, like real streams), add (2) or remove
+// (3); the remaining bits pick the pattern/victim. It returns the first
+// correctness violation (SelfCheck panics are recovered into errors so
+// the shrinker can replay candidate op strings), or nil when the whole
+// interleaving stayed exact.
+func runChurnOps(ops []byte, shards int, snapshot string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("kernel panic: %v", r)
 		}
 	}()
 	method := ftv.NewGGSXMethod(churnOpsDataset, 3)
-	cfg := DefaultConfig()
-	cfg.Capacity = 8
-	cfg.Window = 2
-	cfg.Shards = shards
-	cfg.LazyReconcile = lazy
-	cfg.SelfCheck = true
-	c := MustNew(method, cfg)
+	c := MustNew(method, churnConfig(shards))
+	if snapshot != "" {
+		closer, err := c.RestoreStateLazy(snapshot)
+		if err != nil {
+			return fmt.Errorf("lazy restore: %w", err)
+		}
+		defer closer.Close()
+		if c.Len() == 0 {
+			return fmt.Errorf("lazy restore admitted nothing")
+		}
+	}
 
 	nextExtra := 0
 	for i, op := range ops {
@@ -94,23 +134,19 @@ func runChurnOps(ops []byte, shards int, lazy bool) (err error) {
 				return fmt.Errorf("op %d: remove %d: %w", i, gid, err)
 			}
 		}
-		// Structural invariants after every op: the log never outgrows
-		// the mutation history, and eager mode drains it at each add.
-		snap := c.Stats()
-		if int64(snap.AdditionLogLen) > snap.DatasetAdds {
-			return fmt.Errorf("op %d: addition log %d exceeds %d adds", i, snap.AdditionLogLen, snap.DatasetAdds)
+		// Structural invariants after every op: every answer set spans
+		// the id space, and additions patch the filter incrementally.
+		if err := answerCapacityErr(c); err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
 		}
-		if !lazy && snap.AdditionLogLen != 0 {
-			return fmt.Errorf("op %d: eager mode left %d addition records", i, snap.AdditionLogLen)
-		}
-		if snap.FilterRebuilds != 0 {
+		if c.Stats().FilterRebuilds != 0 {
 			return fmt.Errorf("op %d: AddGraph fell back to a full filter rebuild", i)
 		}
 	}
 
 	// Endgame: every admitted entry re-executes byte-identical to the
-	// uncached method over the final dataset (exact hits reconcile any
-	// remaining lazy staleness on the way).
+	// uncached method over the final dataset (faulting in any body still
+	// pending on the way).
 	for _, e := range c.Entries() {
 		res, err := c.Execute(e.Graph, e.Type)
 		if err != nil {
@@ -162,20 +198,27 @@ func shrinkOps(ops []byte, fails func([]byte) bool) []byte {
 }
 
 // TestQuickChurnInterleavings is the churn fuzzer: seeded testing/quick
-// op strings at shards {1, 4, 32} in both reconciliation modes, every
-// answer cross-checked byte-identical against the uncached method by
-// SelfCheck. A failure is shrunk to a minimal op string before being
-// reported, so the log line is a replayable reproducer.
+// op strings at shards {1, 4, 32}, each from a cold start and from a lazy
+// restore, every answer cross-checked byte-identical against the
+// uncached method by SelfCheck. A failure is shrunk to a minimal op
+// string before being reported, so the log line is a replayable
+// reproducer.
 func TestQuickChurnInterleavings(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
+	for _, restored := range []bool{false, true} {
 		for _, shards := range []int{1, 4, 32} {
-			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
+			start := "cold"
+			if restored {
+				start = "restored"
+			}
+			t.Run(fmt.Sprintf("start=%s/shards=%d", start, shards), func(t *testing.T) {
 				seed := int64(151 + shards)
-				if lazy {
+				snapshot := ""
+				if restored {
 					seed += 1000
+					snapshot = churnSnapshot(t, shards)
 				}
 				prop := func(raw []byte) bool {
-					return runChurnOps(clampOps(raw), shards, lazy) == nil
+					return runChurnOps(clampOps(raw), shards, snapshot) == nil
 				}
 				qc := &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(seed))}
 				err := quick.Check(prop, qc)
@@ -187,9 +230,9 @@ func TestQuickChurnInterleavings(t *testing.T) {
 					t.Fatal(err)
 				}
 				ops := clampOps(ce.In[0].([]byte))
-				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o, shards, lazy) != nil })
-				t.Fatalf("churn interleaving #%d failed; minimal reproducer ops=%v (shards=%d lazy=%v): %v",
-					ce.Count, min, shards, lazy, runChurnOps(min, shards, lazy))
+				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o, shards, snapshot) != nil })
+				t.Fatalf("churn interleaving #%d failed; minimal reproducer ops=%v (shards=%d start=%s): %v",
+					ce.Count, min, shards, start, runChurnOps(min, shards, snapshot))
 			})
 		}
 	}

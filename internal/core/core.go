@@ -7,7 +7,9 @@ import (
 )
 
 // Config parameterizes a Cache. The zero value is unusable; start from
-// DefaultConfig.
+// DefaultConfig. Dataset mutations take no configuration: AddGraph and
+// RemoveGraph bring every cached answer set up to date before they
+// return (see mutate.go).
 type Config struct {
 	// Capacity is the maximum number of cached queries (the demo uses 50).
 	// Each shard owns an admission window of ⌈Window/Shards⌉ entries, and
@@ -51,17 +53,6 @@ type Config struct {
 	// indexed-vs-unindexed hit-detection comparison; answers are provably
 	// identical either way (the index only prunes provable non-hits).
 	IndexOff bool
-	// LazyReconcile defers answer-set maintenance for dataset ADDITIONS:
-	// instead of verifying the new graph against every cached entry at
-	// AddGraph time (the eager default), entries keep a per-entry dataset
-	// epoch and a hit on a stale entry verifies only the graphs added
-	// since that epoch (the method's addition log) before its answers are
-	// trusted. Reconciliation cost then lands on the queries that actually
-	// touch an entry — better under high churn with skewed hit patterns —
-	// at the price of per-hit latency jitter. Removals are always applied
-	// eagerly (clearing a bit needs no iso test). Answers are exact in
-	// both modes.
-	LazyReconcile bool
 	// MemoryBudget, when positive, caps the estimated resident bytes of
 	// cached entries (graphs + answer sets); eviction triggers on overflow
 	// even below Capacity.

@@ -163,13 +163,12 @@
 //     (dsSize equality proves no ADDS happened; ids are never reused).
 //     Fault-in decodes the segment (lazyBody.decode), applies drops
 //     (re-Compact()ing a set they changed), and publishes by CAS —
-//     fully lock-free. The faulted
-//     set reaches the intern pool at the owning shard's next
-//     rechargeLocked, like a lazily reconciled set.
-//   - Restored entries are stamped with the CURRENT dataset epoch
-//     (sound for the addition log by the dsSize check, as for an eager
-//     restore); a pending entry's epoch holds the log-compaction floor
-//     down until it faults or is evicted.
+//     fully lock-free. The faulted set reaches the intern pool at the
+//     owning shard's next rechargeLocked.
+//   - AddGraph materializes every pending body (loadAnswers) while it
+//     holds dsMu exclusively, BEFORE the dataset grows, then extends it
+//     like any other entry. A pending body therefore never outlives an
+//     addition, and its recorded capacity always equals the id space.
 //   - RemoveGraph on a pending entry appends to the drops list via a
 //     COW lazyBody clone published under the full lock hierarchy; a
 //     racing lock-free fault loses the CAS and retries against the new

@@ -8,22 +8,20 @@ import (
 	"graphcache/internal/graph"
 )
 
-// answerState is one immutable (answer set, dataset epoch) pair: the set
-// is exact with respect to the dataset as of the epoch. Published whole
-// through answersCell so readers always see a matching pair.
+// answerState is one immutable published answer set. Its capacity
+// (set.Len()) is the dataset id space it is exact over; the cache keeps
+// every entry's capacity equal to the current id space.
 //
 // A state with a non-nil body is PENDING: its bits still live in the
 // snapshot file of a lazy restore (set is nil) and fault in on first
-// loadAnswers. The pair (body, epoch) carries the same exactness
-// contract — the decoded set is exact as of epoch — so fault-in is just
-// a deferred materialization of the same logical snapshot, published
-// through the ordinary CAS discipline (see persist.go).
+// loadAnswers. The decoded body carries the same exactness contract, so
+// fault-in is just a deferred materialization of the same logical set,
+// published through the cell's CAS (see persist.go).
 //
 //gclint:cow
 type answerState struct {
-	set   *bitset.Set
-	epoch int64
-	body  *lazyBody
+	set  *bitset.Set
+	body *lazyBody
 }
 
 // answersCell is the atomic holder of an entry's answer state. It lives
@@ -31,17 +29,14 @@ type answerState struct {
 // copies share the cell, like they share the immutable Graph).
 //
 // Publication rules: the set inside a published state is never mutated —
-// maintenance swaps in a freshly built set. Stop-the-world dataset
-// mutations (Cache.AddGraph eager mode, Cache.RemoveGraph) swap under the
-// full lock hierarchy with no queries in flight; lazy reconciliation swaps
-// from the query path, where racing reconcilers of the same entry compute
-// identical states (verification is deterministic), so last-write-wins is
-// benign.
+// maintenance swaps in a freshly built set. Dataset mutations
+// (Cache.AddGraph, Cache.RemoveGraph) swap under the full lock hierarchy
+// with no queries in flight, and interning swaps under the owning shard's
+// write lock. The query path publishes only one thing: a pending
+// lazy-restore body faulting in, by CAS from the pending state.
 type answersCell struct {
-	// p publishes the (set, epoch) pair whole. Readers needing both
-	// fields consistent must pin ONE load (the answers accessor), never
-	// pair Answers with DatasetEpoch across two loads (enforced by the
-	// snapshotonce analyzer).
+	// p publishes the answer state whole. Readers must pin ONE load per
+	// operation (enforced by the snapshotonce analyzer).
 	//
 	//gclint:snapshot answers
 	p atomic.Pointer[answerState]
@@ -59,9 +54,8 @@ type Entry struct {
 	// Type is the query semantics the answers correspond to.
 	Type ftv.QueryType
 
-	// ans holds the entry's exact answer set over dataset positions,
-	// stamped with the dataset epoch it is exact up to. Read it through
-	// Answers/DatasetEpoch.
+	// ans holds the entry's exact answer set over dataset positions.
+	// Read it through Answers.
 	ans *answersCell
 
 	// Fingerprint, LabelVec and Features index the entry for hit
@@ -98,7 +92,7 @@ type Entry struct {
 
 	// interned is the canonical answer set the intern pool holds one
 	// reference for on this entry's behalf; nil until admission. It can
-	// trail the published set (lazy reconciliation swaps sets on the
+	// trail the published set (a lazy-restore fault-in publishes on the
 	// query path without touching the pool) and is trued up by
 	// rechargeLocked at window turns and stop-the-world passes. Guarded
 	// by the owning shard's lock, like resBytes.
@@ -118,24 +112,16 @@ type Entry struct {
 }
 
 // Answers returns the entry's current answer set — exact with respect to
-// the dataset as of DatasetEpoch. The returned set is immutable; the cache
-// replaces it whole when dataset mutations are reconciled. On an entry
-// restored lazily the first call faults the set in from the snapshot
-// file (see persist.go).
+// the current dataset. The returned set is immutable; the cache replaces
+// it whole when a dataset mutation changes it. On an entry restored
+// lazily the first call faults the set in from the snapshot file (see
+// persist.go).
 //
 //gclint:cowview
 //gclint:loads answers
 func (e *Entry) Answers() *bitset.Set { return e.loadAnswers().set }
 
-// DatasetEpoch returns the dataset epoch the entry's answers are exact up
-// to. An entry whose epoch trails the method's is stale only with respect
-// to graphs ADDED since (removals are always applied stop-the-world); the
-// cache verifies exactly that delta before trusting the answers.
-//
-//gclint:loads answers
-func (e *Entry) DatasetEpoch() int64 { return e.ans.p.Load().epoch }
-
-// answers returns the entry's (set, epoch) pair as one consistent load.
+// answers returns the entry's answer state as one load.
 // The state may be PENDING (set nil, body non-nil) on a lazily restored
 // entry: maintenance paths that must not trigger snapshot I/O (shard
 // insertion, intern true-up, byte accounting) use this accessor and
@@ -146,11 +132,10 @@ func (e *Entry) DatasetEpoch() int64 { return e.ans.p.Load().epoch }
 //gclint:loads answers
 func (e *Entry) answers() *answerState { return e.ans.p.Load() }
 
-// loadAnswers returns the entry's (set, epoch) pair as one consistent
-// load, faulting the set in from the snapshot file first when the entry
-// was restored lazily. Lock-free: fault-in publishes through the same
-// CAS discipline lazy reconciliation uses, so it is safe on the query
-// path (reconciledAnswers is //gclint:nolocks).
+// loadAnswers returns the entry's answer state as one load, faulting the
+// set in from the snapshot file first when the entry was restored
+// lazily. Lock-free: fault-in publishes by CAS, so it is safe on the
+// query path.
 //
 //gclint:cowview
 //gclint:loads answers
@@ -162,35 +147,25 @@ func (e *Entry) loadAnswers() *answerState {
 	return st
 }
 
-// setAnswers publishes a new answer state. The set must not be mutated
-// after the call.
-func (e *Entry) setAnswers(set *bitset.Set, epoch int64) {
-	e.ans.p.Store(&answerState{set: set, epoch: epoch})
-}
-
-// swapAnswers republishes (set, epoch) only if the entry's answer state
-// is still old, reporting whether the swap landed. The interning true-up
-// swaps a freshly acquired canonical in with it: a plain store could
-// overwrite — and epoch-regress — a state a racing lazy reconciler
-// published after old was read, which would let the entry skip addition
-// records the log has already compacted away.
-func (e *Entry) swapAnswers(old *answerState, set *bitset.Set, epoch int64) bool {
-	return e.ans.p.CompareAndSwap(old, &answerState{set: set, epoch: epoch})
+// setAnswers publishes a new materialized answer set. The set must not be
+// mutated after the call. Callers replace only materialized states: a
+// pending body changes by fault-in or by RemoveGraph's drop list.
+func (e *Entry) setAnswers(set *bitset.Set) {
+	e.ans.p.Store(&answerState{set: set})
 }
 
 // entryFromSig builds an Entry from a precomputed query signature — the
 // single construction site for cache entries, shared by admission and
 // state restores so the signature-derived fields (fingerprint, vectors,
-// feature summaries) can never drift between the two paths. epoch stamps
-// the dataset state the answers were computed against.
-func entryFromSig(id int, q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
+// feature summaries) can never drift between the two paths.
+func entryFromSig(id int, q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick int64) *Entry {
 	e := entryShell(id, q, qt, baseCandidates, sig, tick)
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smallest container now: sparse
 	// for small answer sets, run for near-full ones, dense in between.
 	answers.Compact()
-	e.setAnswers(answers, epoch)
+	e.setAnswers(answers)
 	return e
 }
 

@@ -22,10 +22,9 @@ import (
 // (shard.insertLocked) and whenever a maintenance pass notices the entry
 // published a new set (rechargeLocked, the true-up point); it is released
 // when the entry is evicted (shard.removeLocked) or trued up onto a
-// different set. Lazy reconciliation on the query path deliberately
-// bypasses the pool — reconciledAnswers is //gclint:nolocks — so freshly
-// patched sets ride uninterned until the next window turn or
-// stop-the-world pass, exactly like their byte accounting always has.
+// different set. A lazily restored body faulting in on the query path
+// bypasses the pool (fault-in takes no locks), so the decoded set rides
+// uninterned until the next window turn or stop-the-world pass.
 
 // internPool is a fingerprint-keyed, refcounted pool of canonical answer
 // sets. Buckets resolve fingerprint collisions by content equality.

@@ -13,30 +13,28 @@ import (
 // (each counter is individually consistent, the set is approximate under
 // concurrent load — exact once in-flight queries drain).
 type Monitor struct {
-	queries           atomic.Int64
-	exactHits         atomic.Int64 // queries answered purely from cache
-	subHitQueries     atomic.Int64 // queries with ≥1 sub-case hit
-	superHitQueries   atomic.Int64 // queries with ≥1 super-case hit
-	subHits           atomic.Int64 // total hit contributions
-	superHits         atomic.Int64
-	testsExecuted     atomic.Int64
-	testsSaved        atomic.Int64
-	hitDetectIso      atomic.Int64 // iso tests against cached queries
-	hitScanEntries    atomic.Int64 // entries examined during hit detection
-	hitFullChecks     atomic.Int64 // label/path dominance merges run
-	hitIndexPruned    atomic.Int64 // entries the feature index rejected outright
-	admissions        atomic.Int64
-	evictions         atomic.Int64
-	windowTurns       atomic.Int64
-	datasetAdds       atomic.Int64 // live dataset graphs added
-	datasetRemoves    atomic.Int64 // live dataset graphs tombstoned
-	maintenanceTests  atomic.Int64 // iso tests spent reconciling answer sets after additions
-	logCompactions    atomic.Int64 // addition-log compactions that dropped ≥1 record
-	logRecordsDropped atomic.Int64 // addition records dropped by compaction
-	stateBodyFaults   atomic.Int64 // lazy-restore answer bodies faulted in from the snapshot file
-	filterNs          atomic.Int64
-	hitNs             atomic.Int64
-	verifyNs          atomic.Int64
+	queries          atomic.Int64
+	exactHits        atomic.Int64 // queries answered purely from cache
+	subHitQueries    atomic.Int64 // queries with ≥1 sub-case hit
+	superHitQueries  atomic.Int64 // queries with ≥1 super-case hit
+	subHits          atomic.Int64 // total hit contributions
+	superHits        atomic.Int64
+	testsExecuted    atomic.Int64
+	testsSaved       atomic.Int64
+	hitDetectIso     atomic.Int64 // iso tests against cached queries
+	hitScanEntries   atomic.Int64 // entries examined during hit detection
+	hitFullChecks    atomic.Int64 // label/path dominance merges run
+	hitIndexPruned   atomic.Int64 // entries the feature index rejected outright
+	admissions       atomic.Int64
+	evictions        atomic.Int64
+	windowTurns      atomic.Int64
+	datasetAdds      atomic.Int64 // live dataset graphs added
+	datasetRemoves   atomic.Int64 // live dataset graphs tombstoned
+	maintenanceTests atomic.Int64 // iso tests spent reconciling answer sets after additions
+	stateBodyFaults  atomic.Int64 // lazy-restore answer bodies faulted in from the snapshot file
+	filterNs         atomic.Int64
+	hitNs            atomic.Int64
+	verifyNs         atomic.Int64
 }
 
 // Snapshot is an immutable copy of the monitor's counters.
@@ -66,8 +64,8 @@ type Snapshot struct {
 	Admissions, Evictions, WindowTurns int64
 	// DatasetAdds / DatasetRemoves count live dataset mutations;
 	// MaintenanceTests counts the containment tests spent reconciling
-	// cached answer sets after additions (eagerly at mutation time or
-	// lazily at hit time) — the maintenance side of the churn ledger.
+	// cached answer sets after additions, at mutation time — the
+	// maintenance side of the churn ledger.
 	DatasetAdds, DatasetRemoves, MaintenanceTests int64
 	// FilterInserts / FilterRebuilds split how dataset additions
 	// maintained the method's filter: incremental copy-on-write inserts
@@ -81,13 +79,6 @@ type Snapshot struct {
 	// new canonical. All three read from the cache's pool, not the Monitor.
 	AnswerBytes              int64
 	InternHits, InternMisses int64
-	// AdditionLogLen is the method's current addition-log length;
-	// LogCompactions counts the compactions that dropped at least one
-	// record and LogRecordsDropped the records they reclaimed. Together
-	// they show the log staying bounded: records enter with DatasetAdds
-	// and leave once every resident entry has passed them.
-	AdditionLogLen                    int
-	LogCompactions, LogRecordsDropped int64
 	// StateBodyFaults counts answer bodies faulted in from the snapshot
 	// file after a lazy restore (RestoreStateLazy): 0 right after restore,
 	// rising as queries first touch each restored entry's answers.
@@ -117,8 +108,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		DatasetAdds:       m.datasetAdds.Load(),
 		DatasetRemoves:    m.datasetRemoves.Load(),
 		MaintenanceTests:  m.maintenanceTests.Load(),
-		LogCompactions:    m.logCompactions.Load(),
-		LogRecordsDropped: m.logRecordsDropped.Load(),
 		StateBodyFaults:   m.stateBodyFaults.Load(),
 		FilterTime:        time.Duration(m.filterNs.Load()),
 		HitTime:           time.Duration(m.hitNs.Load()),

@@ -81,21 +81,19 @@ import (
 // published as a PENDING body (answerState with set nil); the first
 // loadAnswers faults the body in through the same decoder an eager
 // restore uses (lazyBody.decode), then publishes it through the cell's
-// CAS — the same epoch-stamped publish discipline lazy reconciliation
-// uses, and equally lock-free, so fault-in is legal on the
-// //gclint:nolocks query path. A faulted set reaches the intern pool at
-// the owning shard's next true-up (rechargeLocked), exactly like lazily
-// reconciled sets do.
+// CAS — lock-free, so fault-in is legal on the query path. A faulted set
+// reaches the intern pool at the owning shard's next true-up
+// (rechargeLocked).
 //
 // Dataset mutations between restore and fault-in stay exact: removals
 // append the tombstoned id to the pending state's drop list (applied
-// after decode), and additions are reconciled from the addition log on
-// the read path — the pending epoch holds the log's compaction floor
-// down until the entry faults in. A body that fails verification at
-// fault-in time panics: the restore-time validation accepted the file,
-// so the backing file was corrupted or truncated AFTER restore, and no
-// exact answer can be produced (the kernel never returns approximate
-// answers — the same contract as the SelfCheck panic).
+// after decode), and AddGraph faults every pending body in before it
+// changes the dataset, then extends it like any other entry. A body that
+// fails verification at fault-in time panics: the restore-time
+// validation accepted the file, so the backing file was corrupted or
+// truncated AFTER restore, and no exact answer can be produced (the
+// kernel never returns approximate answers — the same contract as the
+// SelfCheck panic).
 
 const (
 	stateMagic     = "GCS3"
@@ -156,8 +154,8 @@ type lazyBody struct {
 	length int64
 	sum    uint64
 	// cap is the answer set's capacity: the dataset size at write time
-	// (== at restore time; growth since restore is reconciled from the
-	// addition log after fault-in, like any stale entry).
+	// (== at restore time; AddGraph faults the body in before the id
+	// space grows).
 	cap int
 	// drops are ids tombstoned AFTER the snapshot was written (at restore
 	// time: the complement of the live mask; afterwards: appended by
@@ -229,7 +227,7 @@ func (b *lazyBody) materialize() *bitset.Set {
 func (e *Entry) faultAnswers(st *answerState) *answerState {
 	for {
 		b := st.body
-		next := &answerState{set: b.materialize(), epoch: st.epoch}
+		next := &answerState{set: b.materialize()}
 		if e.ans.p.CompareAndSwap(st, next) {
 			if b.src.mon != nil {
 				b.src.mon.stateBodyFaults.Add(1)
@@ -247,14 +245,12 @@ func (e *Entry) faultAnswers(st *answerState) *answerState {
 // read side of the dataset mutex (the recorded answer ids must belong to
 // one dataset snapshot) plus policyMu (the utility fields it records are
 // mutated under it) plus every shard lock, so the written state is one
-// consistent snapshot even under concurrent queries. Entries stale with
-// respect to dataset additions (LazyReconcile) are reconciled to the
-// pinned view before serialization — the format carries no per-entry
-// epochs, so what it stores must be exact at the header's dataset size
-// (on a lazily restored cache this faults every remaining body in — the
-// new snapshot must not depend on the old backing file). Answer sets are
-// written in their native containers, so save→restore preserves the
-// adaptive compression byte-for-byte.
+// consistent snapshot even under concurrent queries. Every answer set is
+// exact at the header's dataset size (on a lazily restored cache writing
+// faults every remaining body in — the new snapshot must not depend on
+// the old backing file). Answer sets are written in their native
+// containers, so save→restore preserves the adaptive compression
+// byte-for-byte.
 //
 //gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
@@ -274,7 +270,7 @@ func (c *Cache) WriteState(w io.Writer) error {
 	bodyOff := uint64(stateHeaderLen + len(all)*stateIndexLen)
 	var gbuf bytes.Buffer
 	for _, e := range all {
-		set := c.reconciledAnswers(e, view)
+		set := e.Answers()
 		gbuf.Reset()
 		if err := graph.WriteGraph(&gbuf, e.Graph); err != nil {
 			return err
@@ -522,14 +518,14 @@ func (c *Cache) readState(src *stateSource, lazy bool) error {
 		if lazy {
 			body.drops = drops
 			e = entryShell(0, gs[0], ftv.QueryType(qt), int(bc), sig, 0)
-			e.ans.p.Store(&answerState{epoch: view.Epoch(), body: body})
+			e.ans.p.Store(&answerState{body: body})
 		} else {
 			set, err := body.decode()
 			if err != nil {
 				return err
 			}
 			set.And(view.Live())
-			e = entryFromSig(0, gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
+			e = entryFromSig(0, gs[0], ftv.QueryType(qt), set, int(bc), sig, 0)
 		}
 		e.Hits = hits
 		e.SavedTests = savedTests
@@ -561,7 +557,7 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 		sh.entries = sh.entries[:0]
 		sh.byFP = make(map[graph.Fingerprint][]*Entry)
 		sh.memBytes = 0
-		sh.resetWindowLocked()
+		sh.window = sh.window[:0]
 	}
 	// The shards were cleared directly, bypassing removeLocked: reset the
 	// residency account to match before insertLocked re-adds the restored
@@ -583,10 +579,4 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 		c.evictLocked(all, excess)
 	}
 	c.republishAllLocked()
-	// Restored entries are stamped with the current epoch (additions are
-	// impossible since the state was written — the id space would have
-	// grown, and a size mismatch is refused above — so the stamp can skip
-	// nothing), which usually lifts the compaction floor: a restore is a
-	// stop-the-world pass like any other.
-	c.compactAdditionsLocked()
 }

@@ -225,6 +225,76 @@ func TestStateFailedRestoreLeavesWarmCacheIntact(t *testing.T) {
 	}
 }
 
+// The state format records answer sets at the dataset size they were
+// written at, so a state written before dataset additions must be
+// refused: restoring it would leave its entries blind to the added
+// graphs. The refusal names the dataset.
+func TestRestoreRefusesStateFromBeforeAdditions(t *testing.T) {
+	dataset := testDataset(131, 10)
+	extra := testDataset(132, 3)
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1
+		cfg.Shards = 1
+	})
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(133)), dataset[1], 4)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := c.WriteState(&state); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range extra {
+		if _, err := c.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := c.ReadState(bytes.NewReader(state.Bytes()))
+	if err == nil {
+		t.Fatal("ReadState accepted a state file from before dataset additions")
+	}
+	if !strings.Contains(err.Error(), "dataset") {
+		t.Fatalf("refusal should blame the dataset size, got: %v", err)
+	}
+}
+
+// A same-size restore (removals only since the write) is exact, and a
+// later AddGraph extends the restored entries like any others.
+func TestSameSizeRestoreThenAddGraphIsExact(t *testing.T) {
+	dataset := testDataset(131, 10)
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1
+		cfg.Shards = 1
+	})
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(133)), dataset[1], 4)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := c.WriteState(&state); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveGraph(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadState(bytes.NewReader(state.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddGraph(dataset[1]); err != nil { // q embeds in it by construction
+		t.Fatal(err)
+	}
+	if err := answerCapacityErr(c); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Execute(q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := c.Method().Run(q, ftv.Subgraph).Answers; !res.Answers.Equal(want) {
+		t.Fatalf("restored entry diverges after post-restore addition: %v vs %v", res.Answers, want)
+	}
+}
+
 // An answer body can be corrupted into another well-formed set — a
 // flipped dense bit, a sparse index moved up by one — that only its
 // checksum tells apart. Both restore paths run the one body decoder, so

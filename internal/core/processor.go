@@ -138,12 +138,11 @@ type rankedCandidate struct {
 // rankCandidates orders a hit-candidate list in place by expected
 // benefit — answer count, largerFirst choosing the direction — with
 // entry-ID tie-breaks. Each entry's answer count is snapshotted exactly
-// once before sorting: a comparator that reloads the answer cell per
-// comparison can observe a concurrent lazy reconciliation mid-sort,
-// making the ordering inconsistent (sort.Slice's result is then
-// unspecified) and breaking the "ranking is a deterministic function of
-// the candidate set" contract — besides costing one O(set) count per
-// comparison instead of per entry.
+// once before sorting, so the ordering stays consistent even if an
+// answer cell is republished mid-sort (sort.Slice's result would
+// otherwise be unspecified), keeping the ranking a deterministic
+// function of the candidate set — and the sort pays one O(set) count per
+// entry instead of per comparison.
 //
 //gclint:deterministic
 //gclint:loads answers cands

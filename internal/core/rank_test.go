@@ -16,7 +16,7 @@ func rankEntry(id int, count int) *Entry {
 	for i := range idx {
 		idx[i] = i
 	}
-	e.setAnswers(bitset.FromIndices(count+1, idx), 0)
+	e.setAnswers(bitset.FromIndices(count+1, idx))
 	return e
 }
 
@@ -61,7 +61,7 @@ func ids(es []*Entry) []int {
 }
 
 // TestRankCandidatesConcurrentSwap reproduces the bug shape the
-// extraction fixed: a lazy reconciler republishing answer sets while the
+// extraction fixed: a concurrent publisher swapping answer sets while the
 // ranking sorts. The pre-fix comparator reloaded each entry's answer cell
 // per comparison, so a mid-sort swap could make the comparator
 // inconsistent (sort.Slice behavior is then unspecified); the fixed
@@ -82,7 +82,7 @@ func TestRankCandidatesConcurrentSwap(t *testing.T) {
 		defer wg.Done()
 		for k := 0; !stop.Load(); k++ {
 			e := cands[k%n]
-			e.setAnswers(bitset.FromIndices(16, []int{k % 16}), int64(k))
+			e.setAnswers(bitset.FromIndices(16, []int{k % 16}))
 		}
 	}()
 	for trial := 0; trial < 50; trial++ {

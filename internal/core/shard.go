@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,16 +73,6 @@ type shard struct {
 	// without the shard lock).
 	turns atomic.Int64
 
-	// windowFloor is the minimum dataset epoch among this shard's pending
-	// window entries, math.MaxInt64 while the window is empty. Written
-	// under mu (staging lowers it, draining resets it); read atomically by
-	// OTHER shards' turns when they compute the addition-log compaction
-	// floor without taking this shard's lock. A staging that races such a
-	// read is safe to miss: the stager holds dsMu's read side, so its
-	// entry carries the CURRENT dataset epoch and can never need a record
-	// the racing compaction might drop (see compactAdditions).
-	windowFloor atomic.Int64
-
 	// summaries is this shard's published slice of the feature index:
 	// an immutable, ID-ordered array of containment summaries for the
 	// shard's admitted entries. Replaced (never mutated) under policyMu
@@ -100,45 +89,8 @@ func newShards(n int, res *residency, pool *internPool) []*shard {
 	ss := make([]*shard, n)
 	for i := range ss {
 		ss[i] = &shard{byFP: make(map[graph.Fingerprint][]*Entry), res: res, pool: pool}
-		ss[i].windowFloor.Store(math.MaxInt64)
 	}
 	return ss
-}
-
-// stageLocked appends e to the shard's pending window, keeping the
-// window's epoch floor current. Caller holds the shard write lock.
-//
-//gclint:requires shard
-func (sh *shard) stageLocked(e *Entry) {
-	sh.window = append(sh.window, e)
-	if ep := e.DatasetEpoch(); ep < sh.windowFloor.Load() {
-		sh.windowFloor.Store(ep)
-	}
-}
-
-// resetWindowLocked empties the shard's pending window and lifts its
-// epoch floor. Caller holds the shard write lock (turns, state restores).
-//
-//gclint:requires shard
-func (sh *shard) resetWindowLocked() {
-	sh.window = sh.window[:0]
-	sh.windowFloor.Store(math.MaxInt64)
-}
-
-// refreshWindowFloorLocked recomputes the floor from the pending entries —
-// used by the stop-the-world passes after eager reconciliation raises
-// window entries' epochs, so the floor stays tight. Caller holds the
-// shard write lock.
-//
-//gclint:requires shard
-func (sh *shard) refreshWindowFloorLocked() {
-	floor := int64(math.MaxInt64)
-	for _, e := range sh.window {
-		if ep := e.DatasetEpoch(); ep < floor {
-			floor = ep
-		}
-	}
-	sh.windowFloor.Store(floor)
 }
 
 // shardFor maps a fingerprint to its owning shard.
@@ -157,16 +109,12 @@ func (sh *shard) insertLocked(e *Entry) {
 	sh.entries = append(sh.entries, e)
 	sh.byFP[e.Fingerprint] = append(sh.byFP[e.Fingerprint], e)
 	// Intern the answer set: an entry admitting a set another entry
-	// already publishes collapses onto that canonical allocation. The
-	// republish is a CAS because a query that found this entry while it
-	// was window-pending can be lazily reconciling it right now — losing
-	// that race just defers the swap to the next true-up (the pool
-	// reference is held either way).
+	// already publishes collapses onto that canonical allocation.
 	st := e.answers()
 	if st.body == nil {
 		canonical := sh.pool.acquire(st.set)
 		if canonical != st.set {
-			e.swapAnswers(st, canonical, st.epoch)
+			e.setAnswers(canonical)
 		}
 		e.interned = canonical
 	}

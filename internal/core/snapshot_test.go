@@ -50,6 +50,17 @@ func v3State(t *testing.T, c *Cache) []byte {
 	return buf.Bytes()
 }
 
+// v3StateFile writes c's snapshot to a temporary file and returns its
+// path, for lazy restores.
+func v3StateFile(t *testing.T, c *Cache) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "state.gcs3")
+	if err := os.WriteFile(path, v3State(t, c), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // An eager restore reproduces the source cache exactly, at every shard
 // geometry: the same entries in the same (ID) order, each with the same
 // fingerprint, query type, base candidates, utility counters and answers.
@@ -253,7 +264,8 @@ func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
 	if err := eager.RemoveGraph(victim); err != nil {
 		t.Fatal(err)
 	}
-	// And grow the dataset, so fault-in must also reconcile an addition.
+	// And grow the dataset: AddGraph must fault the pending bodies in and
+	// extend them.
 	added := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(602)), src.Method().Dataset()[0], 6)
 	if _, err := lazy.AddGraph(added); err != nil {
 		t.Fatal(err)
@@ -390,5 +402,60 @@ func TestV3LazyFaultOnCorruptedBodyPanics(t *testing.T) {
 	}()
 	for _, e := range lazy.Entries() {
 		e.Answers()
+	}
+}
+
+// AddGraph faults every pending body in before it changes the dataset,
+// so a body corrupted after a lazy restore panics there — leaving the
+// dataset, the locks and every other entry's answers intact.
+func TestAddGraphPanicsOnCorruptedPendingBody(t *testing.T) {
+	src, _ := warmCache(t, 1001, 4)
+	raw := v3State(t, src)
+	ranges := ansRanges(raw)
+
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	lazy := MustNew(ftv.NewGGSXMethod(testDataset(1001, 40), 3), cfg)
+	data := append([]byte(nil), raw...)
+	if err := lazy.readState(newMemStateSource(data), true); err != nil {
+		t.Fatal(err)
+	}
+	// Restored entries take IDs in index order, so Entries()[k] owns the
+	// k-th answer body.
+	entries := lazy.Entries()
+	if len(entries) != len(ranges) {
+		t.Fatalf("restored %d entries, snapshot has %d", len(entries), len(ranges))
+	}
+	k := len(ranges) / 2
+	data[ranges[k][0]+ranges[k][1]/2] ^= 0xff
+	before := lazy.DatasetInfo()
+
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("AddGraph over a corrupted pending body did not panic")
+			}
+			if !strings.Contains(fmt.Sprint(r), "corrupted") {
+				t.Fatalf("panic does not name the corruption: %v", r)
+			}
+		}()
+		lazy.AddGraph(testDataset(1002, 1)[0])
+	}()
+
+	if after := lazy.DatasetInfo(); after != before {
+		t.Fatalf("dataset changed by the failed addition: %+v, was %+v", after, before)
+	}
+	if !lazy.dsMu.TryLock() {
+		t.Fatal("the panic left dsMu held")
+	}
+	lazy.dsMu.Unlock()
+	for i, e := range lazy.Entries() {
+		if i == k {
+			continue
+		}
+		if want := lazy.Method().Run(e.Graph, e.Type).Answers; !e.Answers().Equal(want) {
+			t.Fatalf("entry %d: answers %v, uncached %v", i, e.Answers(), want)
+		}
 	}
 }

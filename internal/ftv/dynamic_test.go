@@ -144,17 +144,14 @@ func TestViewSnapshotIsolation(t *testing.T) {
 		t.Fatalf("old view candidates changed: %v vs %v", again, oldCands)
 	}
 
-	// The new view reflects both mutations and logs the addition.
+	// The new view reflects both mutations; the addition is the one id
+	// past the old view's id space.
 	now := m.View()
 	if now.Epoch() != 2 || now.Graph(0) != nil || now.Graph(len(base)) == nil {
 		t.Fatalf("new view wrong: epoch %d", now.Epoch())
 	}
-	adds := now.AddsSince(0)
-	if len(adds) != 1 || adds[0].GID != len(base) || adds[0].Epoch != 1 {
-		t.Fatalf("AddsSince(0) = %v", adds)
-	}
-	if len(now.AddsSince(1)) != 0 {
-		t.Fatalf("AddsSince(1) should be empty, got %v", now.AddsSince(1))
+	if now.Size() != old.Size()+1 || !now.Live().Contains(old.Size()) {
+		t.Fatalf("new view id space: size %d, live %v", now.Size(), now.Live().Indices())
 	}
 }
 

@@ -2,7 +2,6 @@ package ftv
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,14 +41,14 @@ type FilterFactory func(dataset []*graph.Graph) Filter
 // A Method built with NewDynamicMethod (or the bundled constructors, which
 // all use one) additionally takes live mutations: AddGraph appends a graph
 // under a fresh, stable id, and RemoveGraph tombstones an id without ever
-// reusing it. The whole dataset state — graph slice, filter, live-id set,
-// epoch and addition log — lives in one immutable snapshot behind an
-// atomic pointer: mutators build a new snapshot (copy-on-write) and
-// publish it with a single store, so readers never lock and never observe
-// a half-applied mutation. Every mutation bumps the epoch; the addition
-// log records (epoch, gid) per added graph so cache layers can reconcile
-// stale answer sets by verifying only the delta — and is compacted through
-// CompactAdditions once every outstanding answer set has passed a record.
+// reusing it. The whole dataset state — graph slice, filter, live-id set
+// and epoch — lives in one immutable snapshot behind an atomic pointer:
+// mutators build a new snapshot (copy-on-write) and publish it with a
+// single store, so readers never lock and never observe a half-applied
+// mutation. Every mutation bumps the epoch, a mutation counter. Because
+// ids are appended and never reused, the graphs added since a holder
+// computed an answer set of capacity n are exactly the live ids in
+// [n, Size()): the id space itself records the additions.
 // Removals keep the old filter (its postings for the dead id are masked by
 // the live set — exact, because Candidates intersects with live);
 // additions patch the filter incrementally when it is an InsertableFilter
@@ -65,8 +64,7 @@ type Method struct {
 
 	// mu serializes mutators; readers go through the atomic state pointer
 	// and never take it. It is a leaf lock: nothing is acquired under it,
-	// so callers may hold arbitrary locks of their own (the cache kernel
-	// compacts the addition log from inside its window turns).
+	// so callers may hold arbitrary locks of their own.
 	//gclint:lock methodMu
 	//gclint:leaf
 	mu sync.Mutex
@@ -99,16 +97,6 @@ type methodState struct {
 	live      *bitset.Set // gids not tombstoned; capacity == len(dataset)
 	liveCount int
 	epoch     int64
-	adds      []AddRecord // ascending by Epoch; never mutated in place
-}
-
-// AddRecord is one dataset addition: the graph id it introduced and the
-// epoch at which it became visible. The log lets a holder of a stale
-// answer set verify exactly the delta graphs instead of rescanning the
-// dataset.
-type AddRecord struct {
-	Epoch int64
-	GID   int
 }
 
 // NewMethod assembles a static method. Dataset graphs are identified by
@@ -252,17 +240,12 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 	m.filterMaintainNs.Add(time.Since(tf).Nanoseconds())
 	live := old.live.Grown(gid + 1)
 	live.Add(gid)
-	epoch := old.epoch + 1
-	// Full slice expression: a later append can never scribble over a log
-	// slice an older snapshot still exposes.
-	adds := append(old.adds[:len(old.adds):len(old.adds)], AddRecord{Epoch: epoch, GID: gid})
 	m.state.Store(&methodState{
 		dataset:   dataset,
 		filter:    filter,
 		live:      live,
 		liveCount: old.liveCount + 1,
-		epoch:     epoch,
-		adds:      adds,
+		epoch:     old.epoch + 1,
 	})
 	return gid, nil
 }
@@ -279,52 +262,6 @@ func (m *Method) FilterRebuilds() int64 { return m.filterRebuilds.Load() }
 // maintaining the filter (the insert or rebuild step alone — no dataset
 // copying, no cache-layer reconciliation), in nanoseconds.
 func (m *Method) FilterMaintainNs() int64 { return m.filterMaintainNs.Load() }
-
-// AdditionLogLen returns the current length of the addition log — the
-// records not yet dropped by CompactAdditions.
-//
-//gclint:loads dataset
-func (m *Method) AdditionLogLen() int { return len(m.state.Load().adds) }
-
-// CompactAdditions drops every addition record with Epoch ≤ floor from
-// the log and publishes the trimmed snapshot (the dataset, filter, live
-// set and epoch are untouched — compaction is observable only through
-// AddsSince). It returns the number of records dropped.
-//
-// Safety is the caller's contract: floor must not exceed the minimum
-// epoch any outstanding epoch-stamped answer set is exact up to,
-// otherwise a holder of a lower epoch would silently skip the dropped
-// records when it reconciles. Records above the floor are untouched, and
-// snapshots taken before the call keep their full log — compaction can
-// never retroactively change what an already-obtained view reports.
-//
-//gclint:acquires methodMu
-//gclint:pins dataset
-func (m *Method) CompactAdditions(floor int64) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := m.state.Load()
-	// Epochs ascend: everything before the first record above the floor
-	// goes.
-	drop := sort.Search(len(old.adds), func(i int) bool { return old.adds[i].Epoch > floor })
-	if drop == 0 {
-		return 0
-	}
-	// A fresh allocation (not a re-slice) so the dropped prefix's backing
-	// array becomes collectable — the whole point of compaction is keeping
-	// the log's footprint bounded.
-	kept := make([]AddRecord, len(old.adds)-drop)
-	copy(kept, old.adds[drop:])
-	m.state.Store(&methodState{
-		dataset:   old.dataset,
-		filter:    old.filter,
-		live:      old.live,
-		liveCount: old.liveCount,
-		epoch:     old.epoch,
-		adds:      kept,
-	})
-	return drop
-}
 
 // RemoveGraph tombstones dataset graph gid: the id stays allocated forever
 // (answer-set positions remain stable) but the graph leaves the live set,
@@ -355,7 +292,6 @@ func (m *Method) RemoveGraph(gid int) error {
 		live:      live,
 		liveCount: old.liveCount - 1,
 		epoch:     old.epoch + 1,
-		adds:      old.adds,
 	})
 	return nil
 }
@@ -388,21 +324,6 @@ func (v DatasetView) Graph(gid int) *graph.Graph { return v.s.dataset[gid] }
 //
 //gclint:cowview
 func (v DatasetView) Live() *bitset.Set { return v.s.live }
-
-// AddsSince returns the addition records with Epoch > epoch, oldest
-// first — the delta a holder of an epoch-stamped answer set must verify.
-// The returned slice is shared and must not be modified.
-//
-//gclint:cowview
-func (v DatasetView) AddsSince(epoch int64) []AddRecord {
-	adds := v.s.adds
-	// Epochs ascend; scan back from the tail (deltas are short-lived).
-	i := len(adds)
-	for i > 0 && adds[i-1].Epoch > epoch {
-		i--
-	}
-	return adds[i:]
-}
 
 // Candidates runs the filtering stage over the snapshot: the filter's
 // candidate set intersected with the live ids, so tombstoned graphs never

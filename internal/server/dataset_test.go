@@ -120,23 +120,23 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-// TestStatsReportFilterMaintenance pins the PR-5 observability surface:
-// /api/stats exposes the incremental-insert counters and the addition-log
-// length, and they move with dataset mutations — additions are counted as
-// filter inserts (never rebuilds: the bundled GGSX filter is insertable)
-// and the eager-mode compaction keeps the log drained.
+// TestStatsReportFilterMaintenance pins the maintenance surface of
+// /api/stats: the epoch, maintenance-test and filter-insert counters move
+// with dataset mutations — additions are counted as filter inserts (never
+// rebuilds: the bundled GGSX filter is insertable) and each bumps the
+// epoch.
 func TestStatsReportFilterMaintenance(t *testing.T) {
 	srv, _ := testServer(t)
 	rng := rand.New(rand.NewSource(17))
 	extra := gen.Molecules(rng, 2, gen.MoleculeConfig{MinV: 10, MaxV: 14, RingFrac: 0.1, MaxDegree: 4, Labels: 6})
 
 	_, stats := doJSON(t, srv, http.MethodGet, "/api/stats", "")
-	for _, field := range []string{"filterInserts", "filterRebuilds", "additionLogLen", "logCompactions"} {
+	for _, field := range []string{"epoch", "maintenanceTests", "filterInserts", "filterRebuilds"} {
 		if _, ok := stats[field]; !ok {
 			t.Fatalf("/api/stats is missing %q: %s", field, mustJSON(stats))
 		}
 	}
-	if stats["filterInserts"].(float64) != 0 || stats["additionLogLen"].(float64) != 0 {
+	if stats["filterInserts"].(float64) != 0 || stats["epoch"].(float64) != 0 {
 		t.Fatalf("baseline maintenance stats not zero: %s", mustJSON(stats))
 	}
 
@@ -150,12 +150,7 @@ func TestStatsReportFilterMaintenance(t *testing.T) {
 	if stats["filterInserts"].(float64) != 2 || stats["filterRebuilds"].(float64) != 0 {
 		t.Fatalf("filter counters after 2 adds: %s", mustJSON(stats))
 	}
-	// The default engine reconciles eagerly: each mutation's stop-the-world
-	// pass compacts the record it appended.
-	if stats["additionLogLen"].(float64) != 0 {
-		t.Fatalf("addition log not drained in eager mode: %s", mustJSON(stats))
-	}
-	if stats["logCompactions"].(float64) == 0 {
-		t.Fatalf("no compaction recorded after additions: %s", mustJSON(stats))
+	if stats["epoch"].(float64) != 2 {
+		t.Fatalf("epoch after 2 adds: %s", mustJSON(stats))
 	}
 }

@@ -165,12 +165,9 @@ type statsResponse struct {
 	MaintenanceTests int64 `json:"maintenanceTests"`
 	// FilterInserts/FilterRebuilds split how additions maintained the
 	// method's filter (incremental O(graph) insert vs full O(dataset)
-	// rebuild); AdditionLogLen is the current reconciliation-log length
-	// and LogCompactions counts the compactions bounding it.
+	// rebuild).
 	FilterInserts  int64 `json:"filterInserts"`
 	FilterRebuilds int64 `json:"filterRebuilds"`
-	AdditionLogLen int   `json:"additionLogLen"`
-	LogCompactions int64 `json:"logCompactions"`
 	// AnswerBytes is the intern pool's account — the distinct canonical
 	// answer sets, each charged once however many entries share it
 	// (cacheBytes = static entry bytes + answerBytes). InternHits and
@@ -229,8 +226,6 @@ func (s *Server) statsResponse() statsResponse {
 		MaintenanceTests:  snap.MaintenanceTests,
 		FilterInserts:     snap.FilterInserts,
 		FilterRebuilds:    snap.FilterRebuilds,
-		AdditionLogLen:    snap.AdditionLogLen,
-		LogCompactions:    snap.LogCompactions,
 		AnswerBytes:       snap.AnswerBytes,
 		InternHits:        snap.InternHits,
 		InternMisses:      snap.InternMisses,
@@ -650,8 +645,7 @@ var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
 {{.DatasetAdds}} added / {{.DatasetRemoves}} removed,
 {{.MaintenanceTests}} maintenance tests)</li>
 <li>index maintenance: {{.FilterInserts}} incremental inserts /
-{{.FilterRebuilds}} rebuilds; addition log {{.AdditionLogLen}} records
-({{.LogCompactions}} compactions)</li>
+{{.FilterRebuilds}} rebuilds</li>
 </ul>
 <p>API: GET /api/stats · GET /api/entries · POST /api/query
 · POST /api/query/batch (add ?stream=1 for NDJSON streaming)
