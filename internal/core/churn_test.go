@@ -231,41 +231,54 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn is the -race gauntlet for live mutations: worker
-// goroutines stream queries (each cross-checked by SelfCheck against the
-// dataset snapshot it ran under) while a mutator goroutine interleaves
-// additions and removals.
-func TestConcurrentChurn(t *testing.T) {
-	dataset := testDataset(61, 24)
-	c := testCache(t, dataset, concurrentChurnConfig)
-	concurrentChurn(t, c, concurrentChurnQueries(t, dataset))
-}
+// churnStarts names the two states the mutation tests start a cache in:
+// "cold" (empty), or "restored" lazily from the snapshot of a warmed twin,
+// so mutations race (or precede) the fault-in of restored answer bodies.
+var churnStarts = []string{"cold", "restored"}
 
-// TestConcurrentChurnFromLazyRestore runs the same gauntlet on a cache
-// restored lazily: queries fault pending bodies in lock-free while window
-// turns re-intern them under shard locks and the mutator's first
-// addition faults in whatever is left.
-func TestConcurrentChurnFromLazyRestore(t *testing.T) {
-	dataset := testDataset(61, 24)
-	queries := concurrentChurnQueries(t, dataset)
-	warm := testCache(t, dataset, concurrentChurnConfig)
-	for _, q := range queries {
-		if _, err := warm.Execute(q.G, q.Type); err != nil {
+// startCache builds a cache over a fresh testDataset(seed, count) in the
+// named start state. For "restored" a twin cache over an identical dataset
+// first executes warm, and the new cache restores its snapshot lazily; the
+// backing file stays open until the test ends.
+func startCache(t *testing.T, start string, seed int64, count int, configure func(*Config), warm []gen.Query) *Cache {
+	t.Helper()
+	c := testCache(t, testDataset(seed, count), configure)
+	if start == "cold" {
+		return c
+	}
+	twin := testCache(t, testDataset(seed, count), configure)
+	for _, q := range warm {
+		if _, err := twin.Execute(q.G, q.Type); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := testCache(t, testDataset(61, 24), concurrentChurnConfig)
-	closer, err := c.RestoreStateLazy(v3StateFile(t, warm))
+	closer, err := c.RestoreStateLazy(v3StateFile(t, twin))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer.Close()
+	t.Cleanup(func() { closer.Close() })
 	if c.Len() == 0 {
 		t.Fatal("restore admitted nothing")
 	}
-	concurrentChurn(t, c, queries)
-	if c.Stats().StateBodyFaults == 0 {
-		t.Fatal("no restored body faulted in")
+	return c
+}
+
+// TestConcurrentChurn is the -race gauntlet for live mutations: worker
+// goroutines stream queries (each cross-checked by SelfCheck against the
+// dataset snapshot it ran under) while a mutator goroutine interleaves
+// additions and removals. From a restored start, queries fault pending
+// bodies in lock-free while window turns re-intern them under shard
+// locks and the mutator's first addition faults in whatever is left.
+func TestConcurrentChurn(t *testing.T) {
+	for _, start := range churnStarts {
+		t.Run("start="+start, func(t *testing.T) {
+			queries := concurrentChurnQueries(t, testDataset(61, 24))
+			c := startCache(t, start, 61, 24, concurrentChurnConfig, queries)
+			concurrentChurn(t, c, queries)
+			if start == "restored" && c.Stats().StateBodyFaults == 0 {
+				t.Fatal("no restored body faulted in")
+			}
+		})
 	}
 }
 
@@ -398,45 +411,60 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 // TestAddGraphExtendsAnswers pins the addition rule: the moment AddGraph
 // returns, a cached entry whose pattern is contained in the new graph
 // answers with the new gid, and per-query bitsets grow with the dataset.
+// From a restored start the entry's body is still unfaulted when the
+// addition lands.
 func TestAddGraphExtendsAnswers(t *testing.T) {
-	dataset := testDataset(81, 10)
-	c := testCache(t, dataset, func(cfg *Config) {
-		cfg.Window = 1
-		cfg.Shards = 1
-	})
-	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
-	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-		t.Fatal(err)
-	}
-	// Re-adding a copy of graph 2 guarantees the pattern embeds in the new
-	// graph too.
-	gid, err := c.AddGraph(dataset[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gid != len(dataset) {
-		t.Fatalf("new gid %d, want %d", gid, len(dataset))
-	}
-	if err := answerCapacityErr(c); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range c.Entries() {
-		if e.Graph == q && !e.Answers().Contains(gid) {
-			t.Fatal("entry not extended at mutation time")
-		}
-	}
-	res, err := c.Execute(q, ftv.Subgraph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ExactHit {
-		t.Fatal("expected an exact hit")
-	}
-	if res.Answers.Len() != len(dataset)+1 {
-		t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
-	}
-	if !res.Answers.Contains(gid) {
-		t.Fatal("added graph missing from the entry's answers")
+	for _, start := range churnStarts {
+		t.Run("start="+start, func(t *testing.T) {
+			dataset := testDataset(81, 10)
+			q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
+			c := startCache(t, start, 81, 10, func(cfg *Config) {
+				cfg.Window = 1
+				cfg.Shards = 1
+			}, []gen.Query{{G: q, Type: ftv.Subgraph}})
+			if start == "cold" {
+				if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Re-adding a copy of graph 2 guarantees the pattern embeds in
+			// the new graph too.
+			gid, err := c.AddGraph(dataset[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gid != len(dataset) {
+				t.Fatalf("new gid %d, want %d", gid, len(dataset))
+			}
+			if err := answerCapacityErr(c); err != nil {
+				t.Fatal(err)
+			}
+			fp, found := q.WLFingerprint(3), false
+			for _, e := range c.Entries() {
+				if e.Type == ftv.Subgraph && e.Fingerprint == fp {
+					found = true
+					if !e.Answers().Contains(gid) {
+						t.Fatal("entry not extended at mutation time")
+					}
+				}
+			}
+			if !found {
+				t.Fatal("query's entry not cached")
+			}
+			res, err := c.Execute(q, ftv.Subgraph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.ExactHit {
+				t.Fatal("expected an exact hit")
+			}
+			if res.Answers.Len() != len(dataset)+1 {
+				t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
+			}
+			if !res.Answers.Contains(gid) {
+				t.Fatal("added graph missing from the entry's answers")
+			}
+		})
 	}
 }
 

@@ -67,82 +67,88 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			t.Fatalf("%s: Bytes() %d, shard walk + pool %d", when, got, want)
 		}
 	}
-	dataset := testDataset(41, 24)
-	extra := testDataset(42, 4)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(43)), dataset, gen.WorkloadConfig{
-		Size: 80, Mixed: true, PoolSize: 30,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := testCache(t, dataset, func(cfg *Config) {
-		cfg.Capacity = 12 // small: forces turns and evictions
-		cfg.Window = 4
-		cfg.Shards = 4
-		cfg.SelfCheck = false
-	})
-	for i, q := range w.Queries {
-		if _, err := c.Execute(q.G, q.Type); err != nil {
-			t.Fatal(err)
-		}
-		if i%17 == 0 {
-			check(t, c, fmt.Sprintf("after query %d", i))
-		}
-	}
-	if c.Stats().Evictions == 0 || c.Stats().WindowTurns == 0 {
-		t.Fatal("workload too tame: no evictions or turns")
-	}
-	check(t, c, "after workload")
+	for _, start := range churnStarts {
+		t.Run("start="+start, func(t *testing.T) {
+			dataset := testDataset(41, 24)
+			extra := testDataset(42, 4)
+			w, err := gen.NewWorkload(rand.New(rand.NewSource(43)), dataset, gen.WorkloadConfig{
+				Size: 80, Mixed: true, PoolSize: 30,
+				ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A restored start holds the first half of the workload's admissions,
+			// bodies unfaulted, before the whole workload runs.
+			c := startCache(t, start, 41, 24, func(cfg *Config) {
+				cfg.Capacity = 12 // small: forces turns and evictions
+				cfg.Window = 4
+				cfg.Shards = 4
+				cfg.SelfCheck = false
+			}, w.Queries[:len(w.Queries)/2])
+			for i, q := range w.Queries {
+				if _, err := c.Execute(q.G, q.Type); err != nil {
+					t.Fatal(err)
+				}
+				if i%17 == 0 {
+					check(t, c, fmt.Sprintf("after query %d", i))
+				}
+			}
+			if c.Stats().Evictions == 0 || c.Stats().WindowTurns == 0 {
+				t.Fatal("workload too tame: no evictions or turns")
+			}
+			check(t, c, "after workload")
 
-	// Dataset mutations: additions grow answer sets (and the byte
-	// accounts); removals clear bits.
-	for i, g := range extra {
-		if _, err := c.AddGraph(g); err != nil {
-			t.Fatal(err)
-		}
-		check(t, c, fmt.Sprintf("after add %d", i))
-	}
-	if err := c.RemoveGraph(0); err != nil {
-		t.Fatal(err)
-	}
-	check(t, c, "after remove")
-	// RemoveGraph trues every entry up against the pool under the full
-	// hierarchy, so the accounts must now equal the TRUE resident
-	// footprint — static bytes per entry plus each distinct published
-	// answer set once (summing Entry.Bytes would double-count sets
-	// interning has collapsed).
-	trueBytes := 0
-	seen := make(map[*bitset.Set]bool)
-	for _, e := range c.Entries() {
-		a := e.Answers()
-		trueBytes += e.Bytes() - a.Bytes()
-		if !seen[a] {
-			seen[a] = true
-			trueBytes += a.Bytes()
-		}
-	}
-	if got := c.Bytes(); got != trueBytes {
-		t.Fatalf("after remove: Bytes() %d, true footprint %d", got, trueBytes)
-	}
-	// Touch every entry with an exact hit, then re-check the accounts.
-	for _, e := range c.Entries() {
-		if _, err := c.Execute(e.Graph, e.Type); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check(t, c, "after exact hits")
+			// Dataset mutations: additions grow answer sets (and the byte
+			// accounts); removals clear bits.
+			for i, g := range extra {
+				if _, err := c.AddGraph(g); err != nil {
+					t.Fatal(err)
+				}
+				check(t, c, fmt.Sprintf("after add %d", i))
+			}
+			if err := c.RemoveGraph(0); err != nil {
+				t.Fatal(err)
+			}
+			check(t, c, "after remove")
+			// RemoveGraph trues every entry up against the pool under the full
+			// hierarchy, so the accounts must now equal the TRUE resident
+			// footprint — static bytes per entry plus each distinct published
+			// answer set once (summing Entry.Bytes would double-count sets
+			// interning has collapsed).
+			trueBytes := 0
+			seen := make(map[*bitset.Set]bool)
+			for _, e := range c.Entries() {
+				a := e.Answers()
+				trueBytes += e.Bytes() - a.Bytes()
+				if !seen[a] {
+					seen[a] = true
+					trueBytes += a.Bytes()
+				}
+			}
+			if got := c.Bytes(); got != trueBytes {
+				t.Fatalf("after remove: Bytes() %d, true footprint %d", got, trueBytes)
+			}
+			// Touch every entry with an exact hit, then re-check the accounts.
+			for _, e := range c.Entries() {
+				if _, err := c.Execute(e.Graph, e.Type); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(t, c, "after exact hits")
 
-	// Save/restore resets and rebuilds both views.
-	var buf bytes.Buffer
-	if err := c.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReadState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	check(t, c, "after restore")
-	if c.Len() == 0 {
-		t.Fatal("restore left the cache empty")
+			// Save/restore resets and rebuilds both views.
+			var buf bytes.Buffer
+			if err := c.WriteState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReadState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			check(t, c, "after restore")
+			if c.Len() == 0 {
+				t.Fatal("restore left the cache empty")
+			}
+		})
 	}
 }
