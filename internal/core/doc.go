@@ -66,11 +66,13 @@
 //     callback-based (ForEachAnd/ForEachAndNot) — no materialized index
 //     slices on the hot path; AppendIndices reuses caller buffers.
 //
-//   - Immutable graphs memoize their derived summaries (label-degree
-//     lists, VF2 visit order, label vector, WL fingerprint) behind atomic
-//     pointers (internal/graph), so repeated probes of the same graph are
-//     allocation-free; racing computations produce identical values and
-//     the loser's copy is garbage, which keeps the memo lock-free.
+//   - Immutable graphs memoize their derived summaries (sorted
+//     label-degree keys, the pattern-side VF2 search plan, 64-bit
+//     adjacency masks for targets of at most 64 vertices, label vector,
+//     WL fingerprint) behind atomic pointers (internal/graph), so
+//     repeated probes of the same graph are allocation-free; racing
+//     computations produce identical values and the loser's copy is
+//     garbage, which keeps the memo lock-free.
 //
 //   - What MAY allocate: the Result and its owned sets (they outlive the
 //     call), admission bookkeeping on a miss (the entry, its feature

@@ -1,12 +1,24 @@
-// Package iso implements subgraph-isomorphism testing for undirected
-// vertex-labelled graphs — the Verifier of GraphCache's Method M and the
-// engine behind sub/super cache-hit detection.
+// Package iso implements subgraph-isomorphism testing for vertex-labelled
+// graphs, undirected or directed, with optional edge labels — the
+// Verifier of GraphCache's Method M and the engine behind sub/super
+// cache-hit detection.
 //
 // Two engines are provided:
 //
 //   - VF2 (Cordella et al., TPAMI 2004): the default verifier, implementing
 //     non-induced subgraph isomorphism with connectivity-aware ordering and
-//     one-step lookahead pruning.
+//     one-step lookahead pruning. VF2, FindEmbedding and CountEmbeddings
+//     share one plan-driven matcher. The pattern-side work — visit order,
+//     per-depth pending-neighbour counts, the depths of already-matched
+//     neighbours — is the pattern's memoized graph.Plan, built once per
+//     graph rather than once per candidate (after GraphMini, Liu et al.).
+//     For targets of at most 64 vertices, which covers every molecule,
+//     candidates come from word operations on the target's memoized
+//     graph.AdjMasks and the lookahead is a popcount; larger targets walk
+//     an anchor's neighbour list with the same plan. Both paths try
+//     children in ascending target-vertex order, so they expand the same
+//     search tree (pinned by a golden table of verdicts, budget aborts
+//     and recursion counts).
 //   - Ullmann (1976): the classic candidate-matrix algorithm with bitset
 //     refinement, kept as an independent baseline and cross-check.
 //
@@ -17,6 +29,8 @@
 package iso
 
 import (
+	"slices"
+
 	"graphcache/internal/graph"
 )
 
@@ -24,7 +38,11 @@ import (
 type Stats struct {
 	// Recursions is the number of search-tree nodes expanded.
 	Recursions int64
-	// Candidates is the number of (pattern, target) pair feasibility checks.
+	// Candidates is the number of (pattern vertex, target vertex) pairs
+	// the feasibility checks ran on. For targets of at most 64 vertices
+	// these are only the pairs that survive the label, used-vertex and
+	// adjacency masks, so the count depends on the candidate path, not
+	// only on the search tree.
 	Candidates int64
 	// Aborted is true when the search hit Options.MaxRecursions before
 	// finding an answer; the boolean result is then false and unreliable.
@@ -60,13 +78,16 @@ func Isomorphic(a, b *graph.Graph) bool {
 }
 
 // quickReject applies cheap necessary conditions for p ⊑ t: matching
-// directedness, size, label multiset dominance, and per-label
-// sorted-degree dominance (each pattern vertex must map to a
-// same-labelled target vertex of at least its degree, injectively, which
-// sorted sequences must permit). Both degree summaries come from the
-// graphs' memo caches (graph.LabelDegrees), so repeated probes against
+// directedness, size, and per-label sorted-degree dominance (each pattern
+// vertex must map to a same-labelled target vertex of at least its
+// degree, injectively, which the per-label degree sequences sorted
+// descending must permit; this subsumes label-multiset dominance). The
+// sequences are the graphs' memoized LabelDegreeKeys, compared label
+// group by label group in one forward pass, so repeated probes against
 // the same graphs — the common case when verifying a candidate list —
 // allocate nothing here.
+//
+//gclint:noalloc
 func quickReject(p, t *graph.Graph) bool {
 	if p.Directed() != t.Directed() {
 		return true // mixed-directedness matching is undefined; no match
@@ -74,17 +95,19 @@ func quickReject(p, t *graph.Graph) bool {
 	if p.N() > t.N() || p.M() > t.M() {
 		return true
 	}
-	pd := p.LabelDegrees()
-	td := t.LabelDegrees()
-	for l, pds := range pd {
-		tds, ok := td[l]
-		if !ok || len(tds) < len(pds) {
-			return true
-		}
-		// Both sorted descending: k-th largest pattern degree must fit
-		// under k-th largest target degree.
-		for i, d := range pds {
-			if tds[i] < d {
+	// Keys are label<<16 | (0xFFFF - degree), sorted ascending: a label's
+	// vertices are contiguous, largest degree first, and a larger key
+	// within a label means a smaller degree.
+	pk, tk := p.LabelDegreeKeys(), t.LabelDegreeKeys()
+	j := 0
+	for i := 0; i < len(pk); {
+		l := pk[i] >> 16
+		skip, _ := slices.BinarySearch(tk[j:], l<<16) // to the start of l's group
+		j += skip
+		// The k-th largest pattern degree of label l must fit under the
+		// k-th largest target degree of l.
+		for ; i < len(pk) && pk[i]>>16 == l; i, j = i+1, j+1 {
+			if j == len(tk) || tk[j]>>16 != l || tk[j] > pk[i] {
 				return true
 			}
 		}

@@ -307,6 +307,9 @@ func TestQuickRejectByDegree(t *testing.T) {
 	}
 }
 
+// BenchmarkVF2MoleculeSized times a disconnected random 8-vertex pattern
+// that fails within a few recursions; bench_test.go has the benchmarks
+// shaped like verification traffic.
 func BenchmarkVF2MoleculeSized(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	tg := randomGraph(rng, 40, 8, 0.06)

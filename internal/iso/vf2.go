@@ -1,76 +1,25 @@
 package iso
 
 import (
+	"math/bits"
 	"sync"
 
 	"graphcache/internal/graph"
 )
 
-// statePool recycles vf2State values (and their core slices) across
-// invocations. Cache hit detection and candidate verification run VF2
-// once per candidate graph, so without pooling every probe pays three
-// O(n) allocations; with it a steady-state matcher invocation allocates
-// nothing. The visit order is not pooled — it comes from the pattern's
-// memo cache (graph.VisitOrder) and is shared read-only.
-var statePool = sync.Pool{New: func() any { return new(vf2State) }}
-
-// acquireState returns a ready-to-run matcher state for p ⊑ t with all
-// flags cleared and both core arrays reset to -1.
-func acquireState(p, t *graph.Graph) *vf2State {
-	m := statePool.Get().(*vf2State)
-	m.p, m.t = p, t
-	m.order = p.VisitOrder()
-	m.pCore = resetCore(m.pCore, p.N())
-	m.tCore = resetCore(m.tCore, t.N())
-	m.opts = Options{}
-	m.aborted = false
-	m.capture = false
-	m.count = false
-	m.limit = 0
-	m.found = 0
-	return m
-}
-
-// releaseState drops the graph references (so pooled states never pin
-// graphs) and returns the state to the pool.
-func releaseState(m *vf2State) {
-	m.p, m.t = nil, nil
-	m.order = nil
-	statePool.Put(m)
-}
-
-// resetCore returns s resized to n with every slot set to -1, reusing the
-// backing array when capacity allows.
-func resetCore(s []int32, n int) []int32 {
-	if cap(s) < n {
-		s = make([]int32, n)
-	} else {
-		s = s[:n]
-	}
-	for i := range s {
-		s[i] = -1
-	}
-	return s
-}
-
 // VF2 runs the VF2 subgraph-isomorphism search and reports whether p ⊑ t,
 // together with search statistics. opts bounds the search; on an aborted
 // search the boolean is false and Stats.Aborted is set.
 func VF2(p, t *graph.Graph, opts Options) (bool, Stats) {
-	var st Stats
 	if p.N() == 0 {
-		return true, st // the empty pattern embeds everywhere
+		return true, Stats{} // the empty pattern embeds everywhere
 	}
 	if quickReject(p, t) {
-		return false, st
+		return false, Stats{}
 	}
-	m := acquireState(p, t)
-	m.opts = opts
-	ok := m.match(0, &st)
-	st.Aborted = m.aborted
-	ok = ok && !m.aborted
-	releaseState(m)
-	return ok, st
+	m := matcher{plan: p.Plan(), t: t, max: opts.MaxRecursions}
+	ok := m.run(nil)
+	return ok && !m.st.Aborted, m.st
 }
 
 // FindEmbedding returns one embedding of p into t as a mapping from pattern
@@ -82,18 +31,11 @@ func FindEmbedding(p, t *graph.Graph) []int {
 	if quickReject(p, t) {
 		return nil
 	}
-	m := acquireState(p, t)
-	m.capture = true
-	var st Stats
-	if !m.match(0, &st) {
-		releaseState(m)
+	out := make([]int, p.N())
+	m := matcher{plan: p.Plan(), t: t}
+	if !m.run(out) {
 		return nil
 	}
-	out := make([]int, p.N())
-	for i, v := range m.pCore {
-		out[i] = int(v)
-	}
-	releaseState(m)
 	return out
 }
 
@@ -107,183 +49,346 @@ func CountEmbeddings(p, t *graph.Graph, limit int) int {
 	if quickReject(p, t) {
 		return 0
 	}
-	m := acquireState(p, t)
-	m.count = true
-	m.limit = limit
-	var st Stats
-	m.match(0, &st)
-	found := m.found
-	releaseState(m)
-	return found
+	m := matcher{plan: p.Plan(), t: t, count: true, limit: limit}
+	m.run(nil)
+	return m.found
 }
 
-type vf2State struct {
-	p, t    *graph.Graph
-	order   []int
-	pCore   []int32 // pattern vertex -> target vertex or -1
-	tCore   []int32 // target vertex -> pattern vertex or -1
-	opts    Options
-	aborted bool
-
-	capture bool // stop at first match, keep mapping
-	count   bool // enumerate matches
-	limit   int
-	found   int
+// matcher is one search of a pattern's plan against a target. The search
+// visits pattern vertices in plan order: depth d extends a partial
+// mapping of the vertices at depths [0, d) by one target vertex, and a
+// candidate is kept when its label matches, its degrees suffice, it is
+// adjacent (direction- and edge-label-aware) to the images of the
+// vertex's already-matched neighbours, and it has at least as many
+// unmatched neighbours in each direction as the vertex has pending (the
+// one-step lookahead). Children are tried in ascending target-vertex
+// order, so the search tree — and with it Stats.Recursions and the
+// budget's abort point — does not depend on how candidates are produced.
+type matcher struct {
+	plan   *graph.Plan
+	t      *graph.Graph
+	max    int64 // Options.MaxRecursions
+	st     Stats
+	labels bool // compare edge labels: either graph has them
+	count  bool // enumerate embeddings instead of stopping at the first
+	limit  int
+	found  int
 }
 
-// match extends the partial mapping at the given depth in the visit order.
-// It returns true when the search can stop (a match was found in decision
-// mode, or the enumeration limit was reached in counting mode).
-func (m *vf2State) match(depth int, st *Stats) bool {
-	if depth == len(m.order) {
-		if m.count {
-			m.found++
-			return m.limit > 0 && m.found >= m.limit
+// run searches and reports whether it stopped on success: an embedding
+// was found, or in counting mode the limit was reached. When out is
+// non-nil a found embedding is written to it (pattern vertex → target
+// vertex).
+func (m *matcher) run(out []int) bool {
+	m.labels = m.plan.EdgeLabels() || m.t.HasEdgeLabels()
+	n := m.plan.N()
+	if tm := m.t.AdjMasks(); tm != nil {
+		var img [graph.MaskVertices]int32
+		ok := m.searchMasks(tm, img[:n])
+		if ok && out != nil {
+			m.writeEmbedding(img[:n], out)
 		}
+		return ok
+	}
+	s := listPool.Get().(*listState)
+	img, pos, used := s.reset(n, m.t.N())
+	ok := m.searchLists(img, pos, used)
+	if ok && out != nil {
+		m.writeEmbedding(img, out)
+	}
+	listPool.Put(s)
+	return ok
+}
+
+// writeEmbedding converts per-depth images to out[pattern vertex].
+func (m *matcher) writeEmbedding(img []int32, out []int) {
+	for d, tv := range img {
+		out[m.plan.Vertex(d)] = int(tv)
+	}
+}
+
+// enter counts a search-tree node and reports whether the budget allows
+// expanding it; when it does not, the search is marked aborted.
+//
+//gclint:noalloc
+func (m *matcher) enter() bool {
+	m.st.Recursions++
+	if m.max > 0 && m.st.Recursions > m.max {
+		m.st.Aborted = true
+		return false
+	}
+	return true
+}
+
+// complete records a full mapping and reports whether the search stops:
+// always when deciding, at the limit when counting.
+//
+//gclint:noalloc
+func (m *matcher) complete() bool {
+	if !m.count {
 		return true
 	}
-	st.Recursions++
-	if m.opts.MaxRecursions > 0 && st.Recursions > m.opts.MaxRecursions {
-		m.aborted = true
-		return false
-	}
-
-	pu := m.order[depth]
-
-	// Candidate targets: if pu has an already-matched neighbor, only the
-	// correspondingly-adjacent vertices of that neighbor's image qualify;
-	// otherwise all unmatched target vertices (first vertex of a
-	// component). For directed patterns the anchor direction matters:
-	// anchoring on an out-neighbor pn (pu→pn) restricts candidates to
-	// in-neighbors of pn's image, and vice versa.
-	var (
-		anchorImage int32 = -1
-		anchorOut         = false // true: pu→anchor, so tv must be in-neighbor of image
-	)
-	for _, pn := range m.p.OutNeighbors(pu) {
-		if m.pCore[pn] >= 0 {
-			anchorImage, anchorOut = m.pCore[pn], true
-			break
-		}
-	}
-	if anchorImage < 0 && m.p.Directed() {
-		for _, pn := range m.p.InNeighbors(pu) {
-			if m.pCore[pn] >= 0 {
-				anchorImage = m.pCore[pn]
-				break
-			}
-		}
-	}
-
-	try := func(tv int32) bool {
-		st.Candidates++
-		if m.tCore[tv] >= 0 {
-			return false
-		}
-		if !m.feasible(pu, tv) {
-			return false
-		}
-		m.pCore[pu] = tv
-		m.tCore[tv] = int32(pu)
-		done := m.match(depth+1, st)
-		if done && m.capture {
-			return true // keep the completed mapping intact
-		}
-		m.pCore[pu] = -1
-		m.tCore[tv] = -1
-		return done
-	}
-
-	if anchorImage >= 0 {
-		cands := m.t.InNeighbors(int(anchorImage))
-		if !anchorOut {
-			cands = m.t.OutNeighbors(int(anchorImage))
-		}
-		for _, tv := range cands {
-			if try(tv) {
-				return true
-			}
-			if m.aborted {
-				return false
-			}
-		}
-		return false
-	}
-	for tv := int32(0); tv < int32(m.t.N()); tv++ {
-		if try(tv) {
-			return true
-		}
-		if m.aborted {
-			return false
-		}
-	}
-	return false
+	m.found++
+	return m.limit > 0 && m.found >= m.limit
 }
 
-// feasible applies the VF2 feasibility rules for non-induced matching:
-// label equality, degree sufficiency, consistency (direction- and
-// edge-label-aware) with all matched pattern neighbors, and a one-step
-// lookahead comparing unmatched-neighbor counts per direction.
-func (m *vf2State) feasible(pu int, tv int32) bool {
-	if m.p.Label(pu) != m.t.Label(int(tv)) {
-		return false
+// edgeLabelsMatch reports whether target vertex tv, proposed for depth d,
+// carries the pattern's edge labels on its edges to the images of the
+// vertex's matched neighbours. Adjacency itself is checked by the caller.
+//
+//gclint:noalloc
+func (m *matcher) edgeLabelsMatch(d int, tv int32, img []int32) bool {
+	pl := m.plan
+	// A plan without edge labels stands for all-zero labels.
+	var ls []int32
+	if pl.EdgeLabels() {
+		ls = pl.MatchedOutLabels(d)
 	}
-	if m.t.OutDegree(int(tv)) < m.p.OutDegree(pu) || m.t.InDegree(int(tv)) < m.p.InDegree(pu) {
-		return false
-	}
-	// Every matched out-neighbor pn of pu (edge pu→pn) must map to an
-	// out-neighbor of tv with a matching edge label; dually for
-	// in-neighbors. For undirected graphs Out==In, so only the first loop
-	// constrains (the second repeats it harmlessly only when directed).
-	pendingOut := 0
-	for _, pn := range m.p.OutNeighbors(pu) {
-		if img := m.pCore[pn]; img >= 0 {
-			if !m.t.HasEdge(int(tv), int(img)) {
-				return false
-			}
-			if m.p.EdgeLabel(pu, int(pn)) != m.t.EdgeLabel(int(tv), int(img)) {
-				return false
-			}
-		} else {
-			pendingOut++
+	for i, j := range pl.MatchedOut(d) {
+		if m.t.EdgeLabel(int(tv), int(img[j])) != labelAt(ls, i) {
+			return false
 		}
 	}
-	pendingIn := 0
-	if m.p.Directed() {
-		for _, pn := range m.p.InNeighbors(pu) {
-			if img := m.pCore[pn]; img >= 0 {
-				if !m.t.HasEdge(int(img), int(tv)) {
-					return false
-				}
-				if m.p.EdgeLabel(int(pn), pu) != m.t.EdgeLabel(int(img), int(tv)) {
-					return false
-				}
-			} else {
-				pendingIn++
-			}
-		}
+	if !pl.Directed() {
+		return true
 	}
-	// Lookahead: tv needs at least as many unmatched out-/in-neighbors as
-	// pu has pending in each direction.
-	availOut := 0
-	for _, tn := range m.t.OutNeighbors(int(tv)) {
-		if m.tCore[tn] < 0 {
-			availOut++
-		}
+	if pl.EdgeLabels() {
+		ls = pl.MatchedInLabels(d)
 	}
-	if availOut < pendingOut {
-		return false
-	}
-	if m.p.Directed() {
-		availIn := 0
-		for _, tn := range m.t.InNeighbors(int(tv)) {
-			if m.tCore[tn] < 0 {
-				availIn++
-			}
-		}
-		if availIn < pendingIn {
+	for i, j := range pl.MatchedIn(d) {
+		if m.t.EdgeLabel(int(img[j]), int(tv)) != labelAt(ls, i) {
 			return false
 		}
 	}
 	return true
+}
+
+// labelAt returns ls[i] as a label, or 0 when ls is nil.
+func labelAt(ls []int32, i int) graph.Label {
+	if ls == nil {
+		return 0
+	}
+	return graph.Label(ls[i])
+}
+
+// searchMasks is the search for targets of at most graph.MaskVertices
+// vertices. Each depth's candidates are one word: the target vertices
+// with the right label, minus those already used, intersected with the
+// in-mask (out-mask) of every matched out-neighbour's (in-neighbour's)
+// image. The lookahead is a popcount. img receives the image of each
+// depth; all other state is on the stack.
+//
+//gclint:noalloc
+func (m *matcher) searchMasks(tm *graph.AdjMasks, img []int32) bool {
+	pl := m.plan
+	n := pl.N()
+	directed := pl.Directed()
+	var cand [graph.MaskVertices]uint64
+	var used uint64
+	d := 0
+	if !m.enter() {
+		return false
+	}
+	cand[0] = maskCandidates(pl, tm, 0, used, img)
+	for {
+		c := cand[d]
+		if c == 0 {
+			if d == 0 {
+				return false
+			}
+			d--
+			used &^= 1 << uint(img[d])
+			continue
+		}
+		cand[d] = c & (c - 1)
+		tv := int32(bits.TrailingZeros64(c))
+		m.st.Candidates++
+		// Lookahead. It implies the degree checks: tv is adjacent to the
+		// distinct, used images of the vertex's matched neighbours.
+		if bits.OnesCount64(tm.Out(int(tv))&^used) < pl.PendingOut(d) {
+			continue
+		}
+		if directed && bits.OnesCount64(tm.In(int(tv))&^used) < pl.PendingIn(d) {
+			continue
+		}
+		if m.labels && !m.edgeLabelsMatch(d, tv, img) {
+			continue
+		}
+		img[d] = tv
+		if d+1 == n {
+			if m.complete() {
+				return true
+			}
+			continue
+		}
+		used |= 1 << uint(tv)
+		d++
+		if !m.enter() {
+			return false
+		}
+		cand[d] = maskCandidates(pl, tm, d, used, img)
+	}
+}
+
+// maskCandidates returns depth d's candidate word (see searchMasks).
+//
+//gclint:noalloc
+func maskCandidates(pl *graph.Plan, tm *graph.AdjMasks, d int, used uint64, img []int32) uint64 {
+	c := tm.Label(pl.Label(d)) &^ used
+	for _, j := range pl.MatchedOut(d) {
+		c &= tm.In(int(img[j]))
+	}
+	if pl.Directed() {
+		for _, j := range pl.MatchedIn(d) {
+			c &= tm.Out(int(img[j]))
+		}
+	}
+	return c
+}
+
+// listState is the heap state of searchLists, pooled because the
+// pattern and target sizes are unbounded there.
+type listState struct {
+	ints []int32  // img then pos, one per depth each
+	used []uint64 // bitset over target vertices
+}
+
+// listPool recycles listState values across searches of large targets.
+var listPool = sync.Pool{New: func() any { return new(listState) }}
+
+// reset sizes the state for an n-vertex pattern and an nt-vertex target
+// and returns its cleared image, cursor and used-vertex arrays.
+func (s *listState) reset(n, nt int) (img, pos []int32, used []uint64) {
+	if cap(s.ints) < 2*n {
+		s.ints = make([]int32, 2*n)
+	}
+	words := (nt + 63) / 64
+	if cap(s.used) < words {
+		s.used = make([]uint64, words)
+	}
+	s.used = s.used[:words]
+	clear(s.used)
+	return s.ints[:n], s.ints[n : 2*n], s.used
+}
+
+// searchLists is the search for targets with more than graph.MaskVertices
+// vertices. A depth whose vertex has a matched neighbour walks that
+// anchor image's neighbour list (the first matched out-neighbour's
+// in-list, else the first matched in-neighbour's out-list); a depth with
+// none walks every target vertex. pos[d] is depth d's cursor into its
+// candidate sequence.
+//
+//gclint:noalloc
+func (m *matcher) searchLists(img, pos []int32, used []uint64) bool {
+	n := m.plan.N()
+	d := 0
+	if !m.enter() {
+		return false
+	}
+	pos[0] = 0
+	for {
+		tv := m.nextListCandidate(d, img, pos, used)
+		if tv < 0 {
+			if d == 0 {
+				return false
+			}
+			d--
+			used[img[d]/64] &^= 1 << uint(img[d]%64)
+			continue
+		}
+		img[d] = tv
+		if d+1 == n {
+			if m.complete() {
+				return true
+			}
+			continue
+		}
+		used[tv/64] |= 1 << uint(tv%64)
+		d++
+		if !m.enter() {
+			return false
+		}
+		pos[d] = 0
+	}
+}
+
+// nextListCandidate advances depth d's cursor to its next feasible target
+// vertex and returns it, or -1 when the depth is exhausted.
+//
+//gclint:noalloc
+func (m *matcher) nextListCandidate(d int, img, pos []int32, used []uint64) int32 {
+	pl, t := m.plan, m.t
+	outs := pl.MatchedOut(d)
+	var ins []int32
+	if pl.Directed() {
+		ins = pl.MatchedIn(d)
+	}
+	var list []int32
+	end := int32(t.N())
+	if len(outs) > 0 {
+		list = t.InNeighbors(int(img[outs[0]]))
+		end = int32(len(list))
+	} else if len(ins) > 0 {
+		list = t.OutNeighbors(int(img[ins[0]]))
+		end = int32(len(list))
+	}
+	for pos[d] < end {
+		tv := pos[d]
+		if list != nil {
+			tv = list[tv]
+		}
+		pos[d]++
+		m.st.Candidates++
+		if used[tv/64]&(1<<uint(tv%64)) == 0 && m.listFeasible(d, tv, outs, ins, img, used) {
+			return tv
+		}
+	}
+	return -1
+}
+
+// listFeasible applies the candidate checks of the matcher (see matcher)
+// with adjacency lists and HasEdge; outs and ins are depth d's matched
+// out- and in-neighbours.
+//
+//gclint:noalloc
+func (m *matcher) listFeasible(d int, tv int32, outs, ins, img []int32, used []uint64) bool {
+	pl, t := m.plan, m.t
+	v := int(tv)
+	if t.Label(v) != pl.Label(d) || t.OutDegree(v) < len(outs)+pl.PendingOut(d) {
+		return false
+	}
+	directed := pl.Directed()
+	if directed && t.InDegree(v) < len(ins)+pl.PendingIn(d) {
+		return false
+	}
+	for _, j := range outs {
+		if !t.HasEdge(v, int(img[j])) {
+			return false
+		}
+	}
+	for _, j := range ins {
+		if !t.HasEdge(int(img[j]), v) {
+			return false
+		}
+	}
+	if m.labels && !m.edgeLabelsMatch(d, tv, img) {
+		return false
+	}
+	if unused(t.OutNeighbors(v), used) < pl.PendingOut(d) {
+		return false
+	}
+	return !directed || unused(t.InNeighbors(v), used) >= pl.PendingIn(d)
+}
+
+// unused counts the vertices of list not set in used.
+//
+//gclint:noalloc
+func unused(list []int32, used []uint64) int {
+	k := 0
+	for _, w := range list {
+		if used[w/64]&(1<<uint(w%64)) == 0 {
+			k++
+		}
+	}
+	return k
 }
