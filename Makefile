@@ -111,8 +111,11 @@ churn:
 # Short native-fuzzing smoke passes: the GCS3 snapshot reader, the
 # adaptive-bitset differential target (random op sequences vs a naive
 # []bool reference, across every container mix), the gclint
-# annotation parser and the subgraph-isomorphism differential target
-# (VF2 vs Ullmann on graphs straddling the 64-vertex mask boundary). The committed corpora under each package's
+# annotation parser, the subgraph-isomorphism differential target
+# (VF2 vs Ullmann on graphs straddling the 64-vertex mask boundary) and
+# the GGSX differential target (the flat index vs a naive per-graph
+# path-count reference, through builds and WithGraph inserts). The
+# committed corpora under each package's
 # testdata/fuzz replay in every plain `go test`; this target additionally
 # mutates for a few seconds per target so CI keeps probing fresh inputs.
 FUZZTIME ?= 10s
@@ -121,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzBitsetOps$$' -fuzz '^FuzzBitsetOps$$' -fuzztime $(FUZZTIME) ./internal/bitset/
 	$(GO) test -run '^FuzzParseAnnotation$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime $(FUZZTIME) ./internal/lint/
 	$(GO) test -run '^FuzzSubIso$$' -fuzz '^FuzzSubIso$$' -fuzztime $(FUZZTIME) ./internal/iso/
+	$(GO) test -run '^FuzzGGSX$$' -fuzz '^FuzzGGSX$$' -fuzztime $(FUZZTIME) ./internal/ftv/
 
 # Perf-trajectory artifact: throughput (full GOMAXPROCS worker sweep),
 # large-tier scaling and churn results as JSON, stamped with the runtime

@@ -536,3 +536,26 @@ func (s *Set) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// FromSorted returns a set of capacity n holding exactly the indices in
+// idx, which must be strictly ascending and below n. The payload is
+// allocated once, in the sparse container up to its break-even and in
+// the dense one above it, so building a candidate set from an ascending
+// id list costs two allocations at any size.
+func FromSorted(n int, idx []uint32) *Set {
+	s := New(n)
+	if len(idx) == 0 {
+		return s
+	}
+	s.check(int(idx[len(idx)-1]))
+	if s.mode == modeSparse && len(idx) <= sparseMax(n) {
+		s.sparse = append([]uint32(nil), idx...)
+		return s
+	}
+	s.mode = modeDense
+	s.materialize()
+	for _, v := range idx {
+		s.words[v/wordBits] |= 1 << (v % wordBits)
+	}
+	return s
+}

@@ -278,3 +278,37 @@ func BenchmarkBitsetAnd(b *testing.B) {
 		z.And(y)
 	}
 }
+
+// TestFromSorted checks FromSorted against FromIndices on both sides of
+// the sparse break-even, and that an index past the capacity panics.
+func TestFromSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 63, 64, 1000, 10000} {
+		for _, density := range []float64{0, 0.001, 0.02, 0.05, 0.5, 1} {
+			var idx []uint32
+			var ints []int
+			for i := 0; i < n; i++ {
+				if rng.Float64() < density {
+					idx = append(idx, uint32(i))
+					ints = append(ints, i)
+				}
+			}
+			got, want := FromSorted(n, idx), FromIndices(n, ints)
+			if !got.Equal(want) || got.Count() != len(idx) || got.Len() != n {
+				t.Fatalf("n=%d density=%g: FromSorted %v, FromIndices %v", n, density, got, want)
+			}
+			if len(idx) > 0 {
+				idx[0]++ // FromSorted copies its input
+				if !got.Equal(want) {
+					t.Fatalf("n=%d density=%g: FromSorted aliases its input", n, density)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an index past the capacity did not panic")
+		}
+	}()
+	FromSorted(10, []uint32{3, 10})
+}

@@ -71,12 +71,18 @@ type Filter interface {
 // FilterFactory rebuild whenever the current filter implements it: the
 // expensive work — feature extraction — is O(graph), never the O(dataset)
 // re-enumeration of every existing graph's features a rebuild pays. The
-// COW bookkeeping additionally costs at worst a flat, pointer-sized copy
-// of the index skeleton (GGSX clones its node-pointer array and the
-// touched posting lists; StarFilter clones its inverted map shallowly,
-// sharing every untouched posting list) — memcpy-class work, orders of
-// magnitude below re-extraction. All bundled filters implement
-// InsertableFilter.
+// COW bookkeeping on top is filter-specific:
+//
+//   - GGSX copies its two page directories (one pointer per 16 trie nodes
+//     and per 16 graphs) and only the pages the new graph touches, and
+//     appends to each touched posting list in place unless another
+//     version already claimed the slot. Apart from the directories, its
+//     add cost is proportional to the new graph, not to the dataset.
+//   - StarFilter clones its inverted map and forward slice shallowly,
+//     sharing every untouched posting list, and copies each touched list.
+//   - LabelFilter copies its per-graph rows; NoFilter copies nothing.
+//
+// All bundled filters implement InsertableFilter.
 type InsertableFilter interface {
 	Filter
 	WithGraph(gid int, g *graph.Graph) Filter

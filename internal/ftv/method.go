@@ -397,8 +397,8 @@ func (m *Method) Run(q *graph.Graph, qt QueryType) *Result {
 
 // NewGGSXMethod is a convenience constructor for the demo deployment's
 // Method M: GGSX filtering with VF2 verification. The method is dynamic:
-// AddGraph patches the GGSX trie in place through a copy-on-write
-// incremental insert (O(graph), never a full rebuild).
+// AddGraph extends the GGSX index through a copy-on-write incremental
+// insert (O(graph), never a full rebuild).
 func NewGGSXMethod(dataset []*graph.Graph, maxLen int) *Method {
 	return NewDynamicMethod(fmt.Sprintf("ggsx-L%d/vf2", maxLen), dataset,
 		func(ds []*graph.Graph) Filter { return NewGGSX(ds, maxLen) }, nil)

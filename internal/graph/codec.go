@@ -65,8 +65,10 @@ func (e *ParseError) Error() string {
 
 // ReadAll parses all graphs from r in the text format.
 func ReadAll(r io.Reader) ([]*Graph, error) {
+	// The buffer starts small (a query pattern is a few hundred bytes)
+	// and the scanner grows it on demand up to the 16 MiB line limit.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 4*1024), 16*1024*1024)
 
 	type edgeRec struct {
 		u, v     int

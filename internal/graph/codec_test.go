@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"strings"
@@ -112,5 +113,33 @@ func TestCodecSelfLoopErrorSurfacesFromBuilder(t *testing.T) {
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %T: %v", err, err)
+	}
+}
+
+// TestCodecLongLines pins the line-length contract of ReadAll: the
+// scanner buffer starts small but grows, so a single line longer than
+// 64 KiB parses (or fails with its line number) exactly like a short
+// one, and only a line past the 16 MiB limit is refused.
+func TestCodecLongLines(t *testing.T) {
+	pad := strings.Repeat(" ", 100*1024)
+	comment := "// " + strings.Repeat("c", 100*1024)
+
+	gs, err := ReadAll(strings.NewReader(comment + "\nt # 3\nv 0" + pad + "7\nv 1 2\ne 0" + pad + "1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gs) != 1 || gs[0].ID() != 3 || gs[0].N() != 2 || gs[0].M() != 1 || gs[0].Label(0) != 7 {
+		t.Fatalf("parsed %v", gs)
+	}
+
+	_, err = ReadAll(strings.NewReader("t # 0\n" + comment + "\nv 0 " + strings.Repeat("9", 100*1024) + "\n"))
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 3 {
+		t.Fatalf("want a ParseError at line 3, got %v", err)
+	}
+
+	_, err = ReadAll(strings.NewReader("t # 0\n// " + strings.Repeat("c", 16*1024*1024) + "\n"))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a line past 16 MiB: want bufio.ErrTooLong, got %v", err)
 	}
 }
